@@ -214,7 +214,7 @@ RpcResult RunRpcPhase(ForkBaseService* service, int ops, bool pipelined,
 // server-to-server chunk fetch (forkbased --peers wiring). Half the
 // version-addressed reads route to the shard that did NOT commit the
 // object, so the serving servlet resolves the meta chunk from its peer
-// (then its LRU cache). Reported against same-shard reads, with the
+// (then its chunk cache). Reported against same-shard reads, with the
 // fetch count, this is the latency price of shard-placement-blind reads.
 struct PeerFetchResult {
   double put_kops = 0;

@@ -20,7 +20,7 @@
 //   --peers    comma-separated endpoints of the OTHER servlets of this
 //              deployment. Chunk reads that miss the local store are
 //              resolved from these peers (shared-pool semantics of
-//              Section 4.6 across processes), LRU-cached, and served —
+//              Section 4.6 across processes), cached, and served —
 //              so version-addressed commands and server-side traversals
 //              of trees whose chunks landed on another shard work on
 //              any servlet, with no client-side retries.
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   if (!replicate_from.empty()) peers.push_back(replicate_from);
 
   // With peers, the engine's store becomes a peer-resolving view over
-  // the physical local store: local -> LRU cache -> peer fetch. The
+  // the physical local store: local -> cache -> peer fetch. The
   // server answers kChunkPeerGet from the RAW local store (never the
   // view), so peers asking each other can never recurse. Replicated,
   // one more layer goes on top: the ReplicatingChunkStore that feeds

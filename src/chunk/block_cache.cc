@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "chunk/chunk_store.h"
+
 namespace fb {
 
 namespace {
@@ -207,6 +209,16 @@ BlockCacheStats AdmissionChunkCache::stats() const {
     total.evictions += s->stats.evictions;
   }
   return total;
+}
+
+void AdmissionChunkCache::AddStatsTo(ChunkStoreStats* out) const {
+  const BlockCacheStats bc = stats();
+  out->cache_hits += bc.hits;
+  out->cache_misses += bc.misses;
+  out->cache_hit_bytes += bc.hit_bytes;
+  out->cache_miss_bytes += bc.miss_bytes;
+  out->cache_admissions += bc.admissions;
+  out->cache_rejections += bc.rejections;
 }
 
 }  // namespace fb

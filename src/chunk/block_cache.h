@@ -1,17 +1,16 @@
-// AdmissionChunkCache: a sharded, byte-capped block cache with a
-// TinyLFU-style admission policy, for the disk-read path (ROADMAP
-// item 4a: "block/chunk cache with an admission policy in front of
-// LogChunkStore disk reads").
+// AdmissionChunkCache: the one chunk cache class — a sharded, byte-capped
+// cache with a TinyLFU-style admission policy. It fronts every slow chunk
+// read path: LogChunkStore / LsmChunkStore disk reads (the block cache),
+// ServletChunkStore's fallback tail and RemoteChunkStore's client side.
 //
-// Why not just LruChunkCache? Plain LRU is scan-vulnerable: a single
-// pass over a large dataset (bulk GetBatch, a POS-tree diff across an
-// old version) evicts the whole hot set while inserting chunks that
-// will never be read again. This cache keeps a compact frequency
-// sketch (a count-min sketch with periodic halving — the "TinyLFU"
-// aging scheme) over every cid it has *seen*, and on insertion under
-// pressure admits the incoming chunk only if its estimated frequency
-// beats the eviction victim's. One-touch scan chunks lose that duel
-// and are rejected without disturbing residents.
+// Plain LRU is scan-vulnerable: a single pass over a large dataset (bulk
+// GetBatch, a POS-tree diff across an old version) evicts the whole hot
+// set while inserting chunks that will never be read again. This cache
+// keeps a compact frequency sketch (a count-min sketch with periodic
+// halving — the "TinyLFU" aging scheme) over every cid it has *seen*,
+// and on insertion under pressure admits the incoming chunk only if its
+// estimated frequency is at least the eviction victim's. One-touch scan
+// chunks lose that duel and are rejected without disturbing residents.
 //
 // Each shard is a segmented LRU: new admissions enter a probation
 // segment; a second hit promotes to the protected segment (capped at
@@ -41,6 +40,8 @@
 
 namespace fb {
 
+struct ChunkStoreStats;
+
 struct BlockCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -55,6 +56,9 @@ struct BlockCacheStats {
 class AdmissionChunkCache {
  public:
   static constexpr size_t kDefaultCapacityBytes = 32u << 20;
+  // Budget of the caches in front of a store view: ServletChunkStore's
+  // fallback and RemoteChunkStore's client cache.
+  static constexpr size_t kViewCapacityBytes = 8u << 20;
   static constexpr size_t kDefaultShards = 8;
 
   explicit AdmissionChunkCache(size_t capacity_bytes = kDefaultCapacityBytes,
@@ -76,6 +80,9 @@ class AdmissionChunkCache {
   size_t size_bytes() const;
   size_t entries() const;
   BlockCacheStats stats() const;
+  // Adds this cache's counters to the cache_* fields of `*out` — how a
+  // store with a cache in front of a slow path reports it.
+  void AddStatsTo(ChunkStoreStats* out) const;
 
  private:
   // A 4-row count-min sketch with 8-bit saturating counters, halved

@@ -1,14 +1,12 @@
 #include "chunk/chunk_store.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "chunk/block_cache.h"
+#include "chunk/record_file.h"
 
 namespace fb {
 
@@ -96,43 +94,10 @@ bool MemChunkStore::Contains(const Hash& cid) const {
 }
 
 Status MemChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingInsert> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingInsert{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
+  return gc_.Submit(batch);
 }
 
-Status MemChunkStore::EnqueueAndWait(const PendingInsert* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_done_ < target) {
-    if (gc_combiner_active_) {
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingInsert> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      CommitGroup(group);
-      ql.Lock();
-      gc_done_ += group.size();
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return Status::OK();
-}
-
-void MemChunkStore::CommitGroup(const std::vector<PendingInsert>& group) {
+Status MemChunkStore::CommitGroup(const std::vector<CommitRecord>& group) {
   // Group positions by shard, then take each shard's lock exactly once
   // for the whole drained group — across every caller that enqueued
   // into it. Within a shard records land in enqueue order, so duplicate
@@ -153,6 +118,7 @@ void MemChunkStore::CommitGroup(const std::vector<PendingInsert>& group) {
       stats_.RecordPut(chunk.serialized_size(), dedup_hit);
     }
   }
+  return Status::OK();
 }
 
 Status MemChunkStore::GetBatch(const std::vector<Hash>& cids,
@@ -252,62 +218,27 @@ Status LogChunkStore::Recover() {
   // call to the operator.
   uint32_t seg = 0;
   bool torn_tail = false;
-  for (; !torn_tail; ++seg) {
+  for (; !torn_tail && std::filesystem::exists(SegmentPath(seg)); ++seg) {
     const std::string path = SegmentPath(seg);
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) break;
     const bool is_last = !std::filesystem::exists(SegmentPath(seg + 1));
-    uint64_t off = 0;
-    for (;;) {
-      uint8_t header[4 + Hash::kSize];
-      const size_t got = std::fread(header, 1, sizeof(header), f);
-      if (got == 0) break;  // clean end of segment
-      if (got != sizeof(header)) {
-        std::fclose(f);
-        f = nullptr;
-        if (!is_last) {
-          return Status::Corruption("truncated record header in " + path);
-        }
-        torn_tail = true;
-        break;
-      }
-      uint32_t len = 0;
-      for (int i = 0; i < 4; ++i) len |= uint32_t{header[i]} << (8 * i);
-      Sha256::Digest d;
-      std::memcpy(d.data(), header + 4, Hash::kSize);
-      const Hash cid{d};
-
-      Bytes body(len);
-      const size_t body_got =
-          len > 0 ? std::fread(body.data(), 1, len, f) : 0;
-      if (len > 0 && body_got != len) {
-        std::fclose(f);
-        f = nullptr;
-        if (!is_last) {
-          return Status::Corruption("truncated record body in " + path);
-        }
-        torn_tail = true;
-        break;
-      }
-      Chunk chunk;
-      if (!Chunk::Deserialize(Slice(body), &chunk)) {
-        std::fclose(f);
-        return Status::Corruption("bad chunk encoding in " + path);
-      }
-      if (chunk.ComputeCid() != cid) {
-        std::fclose(f);
-        return Status::Corruption("cid mismatch (tampered chunk) in " + path);
-      }
-      index_[cid] = Location{seg, off, len};
-      stats_.RecordRecoveredChunk(chunk.serialized_size());
-      off += sizeof(header) + len;
-    }
-    if (f != nullptr) std::fclose(f);
+    uint64_t end = 0;
+    // The callback runs on this thread inside Recover's critical
+    // section; the analysis cannot see through std::function.
+    Status s = ScanRecords(
+        path, /*forgive_torn_tail=*/is_last, &end,
+        [&](const Hash& cid, Chunk chunk, uint64_t off,
+            uint32_t len) NO_THREAD_SAFETY_ANALYSIS {
+          index_[cid] = Location{seg, off, len};
+          stats_.RecordRecoveredChunk(chunk.serialized_size());
+          return Status::OK();
+        });
+    torn_tail = s.IsOutOfRange();
+    if (!s.ok() && !torn_tail) return s;
     active_id_ = seg;
-    active_off_ = off;
+    active_off_ = end;
     if (torn_tail) {
       std::error_code ec;
-      std::filesystem::resize_file(path, off, ec);
+      std::filesystem::resize_file(path, end, ec);
       if (ec) {
         return Status::IOError("truncate torn tail: " + ec.message());
       }
@@ -339,15 +270,7 @@ Status LogChunkStore::RollSegment() {
   return Status::OK();
 }
 
-Status LogChunkStore::SyncActive() {
-  if (std::fflush(active_) != 0) return Status::IOError("fflush");
-  if (::fsync(::fileno(active_)) != 0) {
-    return Status::IOError(std::string("fsync: ") + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status LogChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
+Status LogChunkStore::CommitGroup(const std::vector<CommitRecord>& group) {
   MutexLock lock(mu_);
 
   // Records are packed into `buf` and written with one fwrite per
@@ -356,142 +279,62 @@ Status LogChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
   // log does not hold.
   Bytes buf;
   std::vector<std::pair<Hash, Location>> staged;
-  std::vector<uint64_t> staged_sizes;
   std::unordered_set<Hash, HashHasher> staged_cids;
 
-  for (const PendingAppend& p : group) {
-    const Hash& cid = *p.cid;
-    const Chunk& chunk = *p.chunk;
+  for (const CommitRecord& r : group) {
+    const Hash& cid = *r.cid;
+    const Chunk& chunk = *r.chunk;
     if (index_.count(cid) > 0 || staged_cids.count(cid) > 0) {
       stats_.RecordPut(chunk.serialized_size(), /*dedup_hit=*/true);
       continue;
     }
     if (active_off_ + buf.size() >= options_.segment_size) {
-      FB_RETURN_NOT_OK(
-          FlushStaged(&buf, &staged, &staged_sizes, &staged_cids));
+      FB_RETURN_NOT_OK(FlushStaged(&buf, &staged, &staged_cids));
       if (active_off_ >= options_.segment_size) {
         FB_RETURN_NOT_OK(RollSegment());
       }
     }
 
-    const Bytes body = chunk.Serialize();
-    const uint32_t len = static_cast<uint32_t>(body.size());
-    staged.emplace_back(cid,
-                        Location{active_id_, active_off_ + buf.size(), len});
-    staged_sizes.push_back(chunk.serialized_size());
+    const uint64_t off = active_off_ + buf.size();
+    const uint32_t len = AppendRecord(&buf, cid, chunk);
+    staged.emplace_back(cid, Location{active_id_, off, len});
     staged_cids.insert(cid);
-    uint8_t header[4 + Hash::kSize];
-    for (int i = 0; i < 4; ++i) {
-      header[i] = static_cast<uint8_t>(len >> (8 * i));
-    }
-    std::memcpy(header + 4, cid.data(), Hash::kSize);
-    buf.insert(buf.end(), header, header + sizeof(header));
-    buf.insert(buf.end(), body.begin(), body.end());
 
     if (options_.durability == DurabilityPolicy::kAlways) {
-      FB_RETURN_NOT_OK(
-          FlushStaged(&buf, &staged, &staged_sizes, &staged_cids));
+      FB_RETURN_NOT_OK(FlushStaged(&buf, &staged, &staged_cids));
     }
   }
-  return FlushStaged(&buf, &staged, &staged_sizes, &staged_cids);
+  return FlushStaged(&buf, &staged, &staged_cids);
 }
 
 Status LogChunkStore::FlushStaged(
     Bytes* buf, std::vector<std::pair<Hash, Location>>* staged,
-    std::vector<uint64_t>* staged_sizes,
     std::unordered_set<Hash, HashHasher>* staged_cids) {
   if (buf->empty()) return Status::OK();
   if (std::fwrite(buf->data(), 1, buf->size(), active_) != buf->size()) {
     return Status::IOError("short write to segment");
   }
   if (options_.durability != DurabilityPolicy::kNone) {
-    FB_RETURN_NOT_OK(SyncActive());
+    FB_RETURN_NOT_OK(SyncFile(active_, "segment"));
   }
-  for (size_t j = 0; j < staged->size(); ++j) {
-    index_[(*staged)[j].first] = (*staged)[j].second;
-    stats_.RecordPut((*staged_sizes)[j], /*dedup_hit=*/false);
+  for (const auto& [cid, loc] : *staged) {
+    index_[cid] = loc;
+    // A record body is the chunk's serialized form.
+    stats_.RecordPut(loc.length, /*dedup_hit=*/false);
   }
   active_off_ += buf->size();
   buf->clear();
   staged->clear();
-  staged_sizes->clear();
   staged_cids->clear();
   return Status::OK();
 }
 
-Status LogChunkStore::EnqueueAndWait(const PendingAppend* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  if (!gc_error_.ok()) return gc_error_;
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_durable_ < target) {
-    if (gc_combiner_active_) {
-      // Another writer is combining; it will cover our records or hand
-      // the combiner role back before they are reached.
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingAppend> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      Status s = CommitGroup(group);
-      ql.Lock();
-      gc_durable_ += group.size();
-      if (!s.ok() && gc_error_.ok()) gc_error_ = s;
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return gc_error_;
-}
-
 Status LogChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  const PendingAppend one{&cid, &chunk};
-  return EnqueueAndWait(&one, 1);
+  return gc_.Submit(cid, chunk);
 }
 
 Status LogChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingAppend> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingAppend{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
-}
-
-namespace {
-
-// Reads one record body from an already-open segment file.
-Status ReadRecordFrom(std::FILE* f, uint64_t offset, uint32_t length,
-                      Chunk* chunk) {
-  if (std::fseek(f, static_cast<long>(offset + 4 + Hash::kSize), SEEK_SET) !=
-      0) {
-    return Status::IOError("seek");
-  }
-  Bytes body(length);
-  if (length > 0 && std::fread(body.data(), 1, length, f) != length) {
-    return Status::Corruption("short record read");
-  }
-  if (!Chunk::Deserialize(Slice(body), chunk)) {
-    return Status::Corruption("bad chunk encoding");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status LogChunkStore::ReadRecord(const Location& loc, Chunk* chunk) const {
-  std::FILE* f = std::fopen(SegmentPath(loc.segment).c_str(), "rb");
-  if (f == nullptr) return Status::IOError("open segment for read");
-  Status s = ReadRecordFrom(f, loc.offset, loc.length, chunk);
-  std::fclose(f);
-  return s;
+  return gc_.Submit(batch);
 }
 
 Status LogChunkStore::Get(const Hash& cid, Chunk* chunk) const {
@@ -518,7 +361,10 @@ Status LogChunkStore::Get(const Hash& cid, Chunk* chunk) const {
   }
   // The record is immutable and its segment file is never deleted, so the
   // actual file I/O can proceed without serializing against appends.
-  Status s = ReadRecord(loc, chunk);
+  std::FILE* f = std::fopen(SegmentPath(loc.segment).c_str(), "rb");
+  if (f == nullptr) return Status::IOError("open segment for read");
+  Status s = ReadRecordAt(f, loc.offset, loc.length, chunk);
+  std::fclose(f);
   if (s.ok() && block_cache_ != nullptr) block_cache_->Put(cid, *chunk);
   return s;
 }
@@ -576,7 +422,7 @@ Status LogChunkStore::GetBatch(const std::vector<Hash>& cids,
       f = std::fopen(SegmentPath(open_segment).c_str(), "rb");
       if (f == nullptr) return Status::IOError("open segment for read");
     }
-    s = ReadRecordFrom(f, locs[i].offset, locs[i].length, &(*chunks)[i]);
+    s = ReadRecordAt(f, locs[i].offset, locs[i].length, &(*chunks)[i]);
     if (!s.ok()) break;
     if (block_cache_ != nullptr) block_cache_->Put(cids[i], (*chunks)[i]);
   }
@@ -591,15 +437,7 @@ bool LogChunkStore::Contains(const Hash& cid) const {
 
 ChunkStoreStats LogChunkStore::stats() const {
   ChunkStoreStats s = stats_.Snapshot();
-  if (block_cache_ != nullptr) {
-    const BlockCacheStats bc = block_cache_->stats();
-    s.cache_hits += bc.hits;
-    s.cache_misses += bc.misses;
-    s.cache_hit_bytes += bc.hit_bytes;
-    s.cache_miss_bytes += bc.miss_bytes;
-    s.cache_admissions += bc.admissions;
-    s.cache_rejections += bc.rejections;
-  }
+  if (block_cache_ != nullptr) block_cache_->AddStatsTo(&s);
   return s;
 }
 

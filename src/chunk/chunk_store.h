@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "chunk/chunk.h"
+#include "chunk/group_commit.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -213,10 +214,9 @@ class ChunkStore {
 // the cid than ChunkStorePool's partitioner, so striping stays uniform
 // even inside a single pool partition. Thread-safe.
 //
-// PutBatch group-commits: concurrent batched writers enqueue their
-// records and one caller (the combiner) drains the merged queue in a
-// single pass that takes each shard's lock once per drained group —
-// the same combiner discipline as LogChunkStore, minus durability.
+// PutBatch group-commits through a GroupCommitQueue: one caller (the
+// combiner) drains every concurrently enqueued record in a single pass
+// that takes each shard's lock once per drained group.
 // N servlet threads flushing coalesced put-groups into one pool
 // instance contend on the queue mutex only, not on every stripe.
 class MemChunkStore : public ChunkStore {
@@ -249,39 +249,20 @@ class MemChunkStore : public ChunkStore {
     std::unordered_map<Hash, Chunk, HashHasher> chunks GUARDED_BY(mu);
   };
 
-  // A record enqueued for the PutBatch group commit. Pointers refer
-  // into the caller's batch, which outlives the group: the caller
-  // blocks until its records are inserted.
-  struct PendingInsert {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
-
   size_t ShardIndex(const Hash& cid) const {
     return static_cast<size_t>(cid.Mid64() % shards_.size());
   }
 
-  // Enqueues `n` records and blocks until they are inserted (possibly
-  // becoming the combiner that inserts them).
-  Status EnqueueAndWait(const PendingInsert* entries, size_t n)
-      EXCLUDES(gc_mu_);
-  // Inserts one drained group: groups records by shard, then takes each
-  // shard's lock exactly once. Never holds gc_mu_ (the lock-rank order
-  // combiner -> shard also forbids the reverse nesting at runtime).
-  void CommitGroup(const std::vector<PendingInsert>& group)
-      EXCLUDES(gc_mu_);
+  // The PutBatch commit body: groups records by shard, then takes each
+  // shard's lock exactly once for the whole drained group.
+  Status CommitGroup(const std::vector<CommitRecord>& group);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Group-commit queue (PutBatch only; single Put takes its stripe
-  // directly). gc_mu_ guards the bookkeeping below and is never held
-  // while shard locks are.
-  Mutex gc_mu_{kRankStoreCombiner, "mem-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingInsert> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;
-  uint64_t gc_done_ GUARDED_BY(gc_mu_) = 0;
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
+  // PutBatch only; single Put takes its stripe directly.
+  GroupCommitQueue gc_{"mem-gc", [this](const std::vector<CommitRecord>& g) {
+                         return CommitGroup(g);
+                       }};
 
   AtomicChunkStoreStats stats_;
 };
@@ -319,16 +300,15 @@ struct LogStoreOptions {
 // group-commit — is cut off and recovery keeps every fully-flushed record;
 // a short or tampered record anywhere else is still Corruption.
 //
-// Thread-safe, with group commit on the write path: concurrent Put /
-// PutBatch callers enqueue their records and one of them (the combiner)
-// drains the queue, writing each group with a single fwrite and applying
-// the durability policy once per group, so the durable write path no
-// longer serializes per chunk. A writer returns only after its own
-// records are committed. Reads resolve the record location under the
-// index lock but perform file I/O outside it, so Gets of already-flushed
-// records proceed in parallel with appends.
+// Thread-safe, with group commit on the write path: every Put / PutBatch
+// goes through a GroupCommitQueue whose combiner writes each drained group
+// with a single fwrite and applies the durability policy once per group.
+// A writer returns only after its own records are committed. Reads
+// resolve the record location under the index lock but perform file I/O
+// outside it, so Gets of already-flushed records proceed in parallel
+// with appends.
 //
-// Record format: [fixed32 len][cid 32B][chunk bytes (len)]
+// Segments hold chunk/record_file.h records.
 class LogChunkStore : public ChunkStore {
  public:
   static constexpr uint64_t kDefaultSegmentSize = 64ull << 20;
@@ -360,44 +340,23 @@ class LogChunkStore : public ChunkStore {
     uint32_t length;  // chunk bytes length
   };
 
-  // A record enqueued for group commit. The pointers refer into the
-  // caller's batch, which outlives the group: the caller blocks until its
-  // records are committed.
-  struct PendingAppend {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
-
   // Defined in chunk_store.cc: the ctor/dtor pair needs the complete
   // AdmissionChunkCache type behind block_cache_.
   LogChunkStore(std::string dir, LogStoreOptions options);
 
   Status Recover() EXCLUDES(mu_);
   Status RollSegment() REQUIRES(mu_);
-  // Enqueues `n` records and blocks until they are committed (possibly
-  // becoming the combiner that commits them).
-  Status EnqueueAndWait(const PendingAppend* entries, size_t n)
-      EXCLUDES(gc_mu_);
-  // Writes one drained group: dedups against the index, packs the fresh
-  // records into contiguous buffers (one fwrite each), applies the
-  // durability policy, publishes index entries. Takes mu_; never holds
-  // gc_mu_.
-  Status CommitGroup(const std::vector<PendingAppend>& group)
-      EXCLUDES(mu_, gc_mu_);
+  // The commit body: dedups against the index, packs the fresh records
+  // into contiguous buffers (one fwrite each), applies the durability
+  // policy, publishes index entries. Takes mu_.
+  Status CommitGroup(const std::vector<CommitRecord>& group) EXCLUDES(mu_);
   // Writes the packed records in *buf with one fwrite, syncs per
-  // policy, then publishes the staged index entries and clears all four
+  // policy, then publishes the staged index entries and clears all three
   // staging containers. CommitGroup's inner step.
   Status FlushStaged(Bytes* buf,
                      std::vector<std::pair<Hash, Location>>* staged,
-                     std::vector<uint64_t>* staged_sizes,
                      std::unordered_set<Hash, HashHasher>* staged_cids)
       REQUIRES(mu_);
-  // fflush + fsync of the active segment.
-  Status SyncActive() REQUIRES(mu_);
-  // Reads a record's body from its segment file. Safe to call without
-  // mu_ once the record is known to be flushed (records are immutable
-  // and segments are never deleted).
-  Status ReadRecord(const Location& loc, Chunk* chunk) const;
   std::string SegmentPath(uint32_t n) const;
 
   std::string dir_;
@@ -409,15 +368,9 @@ class LogChunkStore : public ChunkStore {
   uint32_t active_id_ GUARDED_BY(mu_) = 0;
   uint64_t active_off_ GUARDED_BY(mu_) = 0;
 
-  // Group-commit queue. gc_mu_ only guards the queue bookkeeping below;
-  // it is never held across file I/O (CommitGroup runs under mu_ alone).
-  Mutex gc_mu_{kRankStoreCombiner, "log-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingAppend> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;  // records ever enqueued
-  uint64_t gc_durable_ GUARDED_BY(gc_mu_) = 0;   // committed (or failed)
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
-  Status gc_error_ GUARDED_BY(gc_mu_);  // sticky: an I/O error fails the store
+  GroupCommitQueue gc_{"log-gc", [this](const std::vector<CommitRecord>& g) {
+                         return CommitGroup(g);
+                       }};
 
   // Read-through block cache over the segment files (nullptr when
   // options_.block_cache_bytes == 0). Consulted before the index,

@@ -168,10 +168,7 @@ ChunkStoreStats ServletChunkStore::stats() const {
   } else {
     for (const auto& s : *pool_) total.Accumulate(s->stats());
   }
-  total.cache_hits += fallback_cache_.hits();
-  total.cache_misses += fallback_cache_.misses();
-  total.cache_hit_bytes += fallback_cache_.hit_bytes();
-  total.cache_miss_bytes += fallback_cache_.miss_bytes();
+  fallback_cache_.AddStatsTo(&total);
   if (PeerChunkResolver* peers = peers_.load(std::memory_order_acquire)) {
     total.peer_fetches = peers->fetches();
     total.peer_fetch_failures = peers->failures();

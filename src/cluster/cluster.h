@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "api/db.h"
-#include "chunk/chunk_cache.h"
+#include "chunk/block_cache.h"
 #include "chunk/chunk_store.h"
 
 namespace fb {
@@ -33,9 +33,9 @@ struct ClusterOptions {
   // true  => two-layer partitioning (2LP): data chunks spread by cid.
   // false => one-layer partitioning (1LP): all chunks stay servlet-local.
   bool two_layer_partitioning = true;
-  // Byte budget of each servlet's LRU cache in front of the pool-scan
-  // read fallback (0 disables it).
-  size_t fallback_cache_bytes = LruChunkCache::kDefaultCapacityBytes;
+  // Byte budget of each servlet's cache in front of the pool-scan read
+  // fallback (0 disables it).
+  size_t fallback_cache_bytes = AdmissionChunkCache::kViewCapacityBytes;
 };
 
 // The servlet the dispatcher routes `key` to in an `n`-shard layout —
@@ -59,8 +59,8 @@ class PeerChunkResolver;
 //    local store (Mem or Log); there is no shared pool to scan.
 //
 // Either way the read path degrades in the same order: expected
-// location(s) -> byte-capped LRU cache -> peer fetch. The peer resolver
-// (when attached) is the cross-process half of the shared-pool
+// location(s) -> byte-capped AdmissionChunkCache -> peer fetch. The
+// peer resolver (when attached) is the cross-process half of the shared-pool
 // semantics: a miss is resolved from peer servlet endpoints, cached, and
 // returned; hit/miss and peer-fetch counts surface in stats(). A
 // resolver answer of Unavailable (a peer could not be asked) propagates
@@ -71,7 +71,7 @@ class ServletChunkStore : public ChunkStore {
   ServletChunkStore(std::vector<std::unique_ptr<MemChunkStore>>* pool,
                     size_t local_id, bool two_layer,
                     size_t fallback_cache_bytes =
-                        LruChunkCache::kDefaultCapacityBytes)
+                        AdmissionChunkCache::kViewCapacityBytes)
       : pool_(pool),
         local_id_(local_id),
         two_layer_(two_layer),
@@ -82,7 +82,7 @@ class ServletChunkStore : public ChunkStore {
   ServletChunkStore(std::unique_ptr<ChunkStore> local,
                     PeerChunkResolver* peers,
                     size_t fallback_cache_bytes =
-                        LruChunkCache::kDefaultCapacityBytes)
+                        AdmissionChunkCache::kViewCapacityBytes)
       : pool_(nullptr),
         owned_local_(std::move(local)),
         local_id_(0),
@@ -141,7 +141,8 @@ class ServletChunkStore : public ChunkStore {
   const std::unique_ptr<ChunkStore> owned_local_;  // standalone mode
   const size_t local_id_;
   const bool two_layer_;
-  mutable LruChunkCache fallback_cache_;  // Get() is const; caching is not
+  // mutable: Get() is const; caching is not.
+  mutable AdmissionChunkCache fallback_cache_;
   std::atomic<PeerChunkResolver*> peers_{nullptr};
 };
 

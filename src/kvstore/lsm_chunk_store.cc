@@ -1,98 +1,19 @@
 #include "kvstore/lsm_chunk_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "chunk/block_cache.h"
+#include "chunk/record_file.h"
 
 namespace fb {
 
 namespace {
 
-constexpr size_t kRecordHeader = 4 + Hash::kSize;
-
 int CidCompare(const Hash& a, const Hash& b) {
   return std::memcmp(a.data(), b.data(), Hash::kSize);
-}
-
-void AppendRecord(Bytes* buf, const Hash& cid, const Bytes& body) {
-  const uint32_t len = static_cast<uint32_t>(body.size());
-  uint8_t header[kRecordHeader];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<uint8_t>(len >> (8 * i));
-  }
-  std::memcpy(header + 4, cid.data(), Hash::kSize);
-  buf->insert(buf->end(), header, header + sizeof(header));
-  buf->insert(buf->end(), body.begin(), body.end());
-}
-
-Status SyncFile(std::FILE* f, const char* what) {
-  if (std::fflush(f) != 0) return Status::IOError(std::string("fflush ") + what);
-  if (::fsync(::fileno(f)) != 0) {
-    return Status::IOError(std::string("fsync ") + what + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-// Scans a record stream shared by WALs and SSTs. `on_record` receives
-// (cid, chunk, offset, body_len). A truncated record returns
-// kOutOfRange when `forgive_torn_tail` (the caller truncates the file);
-// otherwise Corruption. Records' cids are verified — tamper evidence.
-Status ScanRecords(
-    const std::string& path, bool forgive_torn_tail, uint64_t* end_offset,
-    const std::function<Status(const Hash&, Chunk, uint64_t, uint32_t)>&
-        on_record) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("open " + path);
-  uint64_t off = 0;
-  Status out = Status::OK();
-  for (;;) {
-    uint8_t header[kRecordHeader];
-    const size_t got = std::fread(header, 1, sizeof(header), f);
-    if (got == 0) break;
-    if (got != sizeof(header)) {
-      out = forgive_torn_tail
-                ? Status::OutOfRange("torn tail")
-                : Status::Corruption("truncated record header in " + path);
-      break;
-    }
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len |= uint32_t{header[i]} << (8 * i);
-    Sha256::Digest d;
-    std::memcpy(d.data(), header + 4, Hash::kSize);
-    const Hash cid{d};
-    Bytes body(len);
-    const size_t body_got = len > 0 ? std::fread(body.data(), 1, len, f) : 0;
-    if (len > 0 && body_got != len) {
-      out = forgive_torn_tail
-                ? Status::OutOfRange("torn tail")
-                : Status::Corruption("truncated record body in " + path);
-      break;
-    }
-    Chunk chunk;
-    if (!Chunk::Deserialize(Slice(body), &chunk)) {
-      out = Status::Corruption("bad chunk encoding in " + path);
-      break;
-    }
-    if (chunk.ComputeCid() != cid) {
-      out = Status::Corruption("cid mismatch (tampered chunk) in " + path);
-      break;
-    }
-    Status s = on_record(cid, std::move(chunk), off, len);
-    if (!s.ok()) {
-      out = s;
-      break;
-    }
-    off += kRecordHeader + len;
-  }
-  std::fclose(f);
-  if (end_offset != nullptr) *end_offset = off;
-  return out;
 }
 
 }  // namespace
@@ -167,6 +88,11 @@ Result<LsmChunkStore::RunPtr> LsmChunkStore::LoadRun(const std::string& path,
             [](const IndexEntry& a, const IndexEntry& b) {
               return CidCompare(a.cid, b.cid) < 0;
             });
+  FB_RETURN_NOT_OK(FinishRun(run.get()));
+  return run;
+}
+
+Status LsmChunkStore::FinishRun(Run* run) const {
   run->bloom = std::make_unique<BloomFilter>(run->entries.size(),
                                              options_.bloom_bits_per_key);
   for (const IndexEntry& e : run->entries) run->bloom->Add(e.cid.slice());
@@ -174,9 +100,9 @@ Result<LsmChunkStore::RunPtr> LsmChunkStore::LoadRun(const std::string& path,
     run->min_cid = run->entries.front().cid;
     run->max_cid = run->entries.back().cid;
   }
-  run->file = std::fopen(path.c_str(), "rb");
-  if (run->file == nullptr) return Status::IOError("reopen " + path);
-  return run;
+  run->file = std::fopen(run->path.c_str(), "rb");
+  if (run->file == nullptr) return Status::IOError("reopen " + run->path);
+  return Status::OK();
 }
 
 Status LsmChunkStore::ReplayWal(const std::string& path,
@@ -281,7 +207,7 @@ Status LsmChunkStore::RecoverLocked() {
   if (!memtable_.empty()) {
     Bytes buf;
     for (const auto& [cid, chunk] : memtable_) {
-      AppendRecord(&buf, cid, chunk.Serialize());
+      AppendRecord(&buf, cid, chunk);
     }
     if (std::fwrite(buf.data(), 1, buf.size(), wal_) != buf.size()) {
       return Status::IOError("short write re-logging wal");
@@ -297,7 +223,12 @@ Status LsmChunkStore::RecoverLocked() {
 }
 
 bool LsmChunkStore::ContainsLocked(const Hash& cid) const {
-  if (memtable_.count(cid) > 0 || imm_.count(cid) > 0) return true;
+  return memtable_.count(cid) > 0 || imm_.count(cid) > 0 ||
+         FindInRuns(cid, nullptr) != nullptr;
+}
+
+const LsmChunkStore::IndexEntry* LsmChunkStore::FindInRuns(
+    const Hash& cid, RunPtr* holder) const {
   for (const RunPtr& run : runs_) {
     if (run->entries.empty() || CidCompare(cid, run->min_cid) < 0 ||
         CidCompare(cid, run->max_cid) > 0) {
@@ -307,12 +238,13 @@ bool LsmChunkStore::ContainsLocked(const Hash& cid) const {
       bloom_skips_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (run->Find(cid) != nullptr) return true;
+    if (const IndexEntry* e = run->Find(cid)) {
+      if (holder != nullptr) *holder = run;
+      return e;
+    }
   }
-  return false;
+  return nullptr;
 }
-
-Status LsmChunkStore::SyncWal() { return SyncFile(wal_, "wal"); }
 
 Status LsmChunkStore::CommitStaged(
     Bytes* buf, std::vector<std::pair<Hash, const Chunk*>>* staged) {
@@ -321,7 +253,7 @@ Status LsmChunkStore::CommitStaged(
     return Status::IOError("short write to wal");
   }
   if (options_.durability != DurabilityPolicy::kNone) {
-    FB_RETURN_NOT_OK(SyncWal());
+    FB_RETURN_NOT_OK(SyncFile(wal_, "wal"));
   }
   {
     MutexLock bl(backend_stats_mu_);
@@ -337,7 +269,7 @@ Status LsmChunkStore::CommitStaged(
   return Status::OK();
 }
 
-Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
+Status LsmChunkStore::CommitGroup(const std::vector<CommitRecord>& group) {
   bool need_flush = false;
   {
     MutexLock lock(mu_);
@@ -346,14 +278,14 @@ Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
     std::vector<std::pair<Hash, const Chunk*>> staged;
     std::unordered_set<Hash, HashHasher> staged_cids;
 
-    for (const PendingAppend& p : group) {
-      const Hash& cid = *p.cid;
-      const Chunk& chunk = *p.chunk;
+    for (const CommitRecord& r : group) {
+      const Hash& cid = *r.cid;
+      const Chunk& chunk = *r.chunk;
       if (staged_cids.count(cid) > 0 || ContainsLocked(cid)) {
         stats_.RecordPut(chunk.serialized_size(), /*dedup_hit=*/true);
         continue;
       }
-      AppendRecord(&buf, cid, chunk.Serialize());
+      AppendRecord(&buf, cid, chunk);
       staged.emplace_back(cid, &chunk);
       staged_cids.insert(cid);
       if (options_.durability == DurabilityPolicy::kAlways) {
@@ -371,104 +303,61 @@ Status LsmChunkStore::CommitGroup(const std::vector<PendingAppend>& group) {
   return Status::OK();
 }
 
-Status LsmChunkStore::EnqueueAndWait(const PendingAppend* entries, size_t n) {
-  if (n == 0) return Status::OK();
-  MutexLock ql(gc_mu_);
-  if (!gc_error_.ok()) return gc_error_;
-  gc_queue_.insert(gc_queue_.end(), entries, entries + n);
-  gc_enqueued_ += n;
-  const uint64_t target = gc_enqueued_;
-
-  while (gc_durable_ < target) {
-    if (gc_combiner_active_) {
-      gc_cv_.Wait(gc_mu_);
-      continue;
-    }
-    gc_combiner_active_ = true;
-    while (!gc_queue_.empty()) {
-      std::vector<PendingAppend> group = std::move(gc_queue_);
-      gc_queue_.clear();
-      ql.Unlock();
-      Status s = CommitGroup(group);
-      ql.Lock();
-      gc_durable_ += group.size();
-      if (!s.ok() && gc_error_.ok()) gc_error_ = s;
-      gc_cv_.SignalAll();
-    }
-    gc_combiner_active_ = false;
-    gc_cv_.SignalAll();
-  }
-  return gc_error_;
-}
-
 Status LsmChunkStore::Put(const Hash& cid, const Chunk& chunk) {
-  const PendingAppend one{&cid, &chunk};
-  return EnqueueAndWait(&one, 1);
+  return gc_.Submit(cid, chunk);
 }
 
 Status LsmChunkStore::PutBatch(const ChunkBatch& batch) {
-  std::vector<PendingAppend> entries;
-  entries.reserve(batch.size());
-  for (const auto& [cid, chunk] : batch) {
-    entries.push_back(PendingAppend{&cid, &chunk});
-  }
-  return EnqueueAndWait(entries.data(), entries.size());
+  return gc_.Submit(batch);
 }
 
-Result<LsmChunkStore::RunPtr> LsmChunkStore::WriteSst(
-    std::vector<std::pair<Hash, const Chunk*>> sorted_chunks, size_t tier) {
+Result<LsmChunkStore::RunPtr> LsmChunkStore::BuildRun(
+    size_t tier, size_t n, const RecordSource& next) {
   // The whole SST build is file I/O; holding the store lock here would
-  // stall every reader for the duration (the bug this refactor removes).
+  // stall every reader for the duration.
   mu_.AssertNotHeld();
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::string path = SstPath(seq, tier);
+  auto run = std::make_shared<Run>();
+  run->seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  run->tier = tier;
+  run->path = SstPath(run->seq, tier);
   // Build under a .tmp name and rename once durable: recovery treats a
   // torn SST as corruption, so a crash mid-build must never leave a
   // partial file under the real name (leftover .tmp files are swept on
   // open).
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = run->path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("create " + tmp);
 
-  auto run = std::make_shared<Run>();
-  run->seq = seq;
-  run->tier = tier;
-  run->path = path;
-  run->bloom = std::make_unique<BloomFilter>(sorted_chunks.size(),
-                                             options_.bloom_bits_per_key);
-  uint64_t off = 0;
-  Bytes buf;
-  for (const auto& [cid, chunk] : sorted_chunks) {
-    buf.clear();
-    AppendRecord(&buf, cid, chunk->Serialize());
-    if (std::fwrite(buf.data(), 1, buf.size(), f) != buf.size()) {
-      std::fclose(f);
-      return Status::IOError("short write to " + tmp);
+  run->entries.reserve(n);
+  Bytes record;
+  Status s;
+  for (size_t i = 0; i < n; ++i) {
+    Hash cid;
+    record.clear();
+    s = next(i, &cid, &record);
+    if (!s.ok()) break;
+    if (std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
+      s = Status::IOError("short write to " + tmp);
+      break;
     }
     run->entries.push_back(IndexEntry{
-        cid, off, static_cast<uint32_t>(buf.size() - kRecordHeader)});
-    run->bloom->Add(cid.slice());
-    off += buf.size();
-  }
-  run->bytes = off;
-  if (!run->entries.empty()) {
-    run->min_cid = run->entries.front().cid;
-    run->max_cid = run->entries.back().cid;
+        cid, run->bytes,
+        static_cast<uint32_t>(record.size() - kRecordHeaderSize)});
+    run->bytes += record.size();
   }
   // An SST is born durable: its WAL is about to be deleted (flush) or
   // its inputs unlinked (compaction), so the file must survive power
   // loss before either happens.
-  Status s = SyncFile(f, "sst");
+  if (s.ok()) s = SyncFile(f, "sst");
   std::fclose(f);
-  if (!s.ok()) return s;
-  std::error_code rec;
-  std::filesystem::rename(tmp, path, rec);
-  if (rec) return Status::IOError("rename " + tmp + ": " + rec.message());
-  run->file = std::fopen(path.c_str(), "rb");
-  if (run->file == nullptr) return Status::IOError("reopen " + path);
+  FB_RETURN_NOT_OK(s);
+  std::error_code ec;
+  std::filesystem::rename(tmp, run->path, ec);
+  if (ec) return Status::IOError("rename " + tmp + ": " + ec.message());
+  FB_RETURN_NOT_OK(FinishRun(run.get()));
   {
     MutexLock bl(backend_stats_mu_);
-    backend_stats_.sst_bytes += off;
+    backend_stats_.sst_bytes += run->bytes;
   }
   return run;
 }
@@ -512,7 +401,12 @@ Status LsmChunkStore::FlushAndCompact() {
 
   // Phase 2 — build the SST with mu_ released. The pointers reach into
   // imm_, which only this (flush_mu_-serialized) flusher may mutate.
-  auto run = WriteSst(std::move(sorted), /*tier=*/0);
+  auto run = BuildRun(
+      /*tier=*/0, sorted.size(), [&](size_t i, Hash* cid, Bytes* record) {
+        *cid = sorted[i].first;
+        AppendRecord(record, *cid, *sorted[i].second);
+        return Status::OK();
+      });
   if (!run.ok()) {
     // Put the sealed records back so the store stays complete; the old
     // WAL file still holds them for crash recovery, and the duplicate
@@ -545,10 +439,8 @@ Status LsmChunkStore::FlushAndCompact() {
 
 Result<LsmChunkStore::RunPtr> LsmChunkStore::MergeRuns(
     const std::vector<RunPtr>& victims, size_t tier) {
-  // Compaction is pure file I/O and must never run under the memtable
-  // lock — readers keep serving from the victims (still published in
-  // runs_) for its whole duration.
-  mu_.AssertNotHeld();
+  // Runs without the memtable lock (BuildRun asserts it): readers keep
+  // serving from the victims, still published in runs_, throughout.
   // Content addressing: victims are disjoint, so the merge is a re-sort
   // of their records into one file. Bodies are copied raw (already
   // cid-verified when first written or loaded).
@@ -567,59 +459,13 @@ Result<LsmChunkStore::RunPtr> LsmChunkStore::MergeRuns(
               return CidCompare(a.entry->cid, b.entry->cid) < 0;
             });
 
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::string path = SstPath(seq, tier);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("create " + tmp);
-
-  auto run = std::make_shared<Run>();
-  run->seq = seq;
-  run->tier = tier;
-  run->path = path;
-  run->bloom = std::make_unique<BloomFilter>(sources.size(),
-                                             options_.bloom_bits_per_key);
-  uint64_t off = 0;
-  Bytes record;
-  for (const Source& src : sources) {
-    const size_t total = kRecordHeader + src.entry->length;
-    record.resize(total);
-    {
-      MutexLock rl(src.run->read_mu);
-      if (std::fseek(src.run->file, static_cast<long>(src.entry->offset),
-                     SEEK_SET) != 0 ||
-          std::fread(record.data(), 1, total, src.run->file) != total) {
-        std::fclose(f);
-        return Status::IOError("read during compaction: " + src.run->path);
-      }
-    }
-    if (std::fwrite(record.data(), 1, total, f) != total) {
-      std::fclose(f);
-      return Status::IOError("short write to " + tmp);
-    }
-    run->entries.push_back(
-        IndexEntry{src.entry->cid, off, src.entry->length});
-    run->bloom->Add(src.entry->cid.slice());
-    off += total;
-  }
-  run->bytes = off;
-  if (!run->entries.empty()) {
-    run->min_cid = run->entries.front().cid;
-    run->max_cid = run->entries.back().cid;
-  }
-  Status s = SyncFile(f, "sst");
-  std::fclose(f);
-  if (!s.ok()) return s;
-  std::error_code rec;
-  std::filesystem::rename(tmp, path, rec);
-  if (rec) return Status::IOError("rename " + tmp + ": " + rec.message());
-  run->file = std::fopen(path.c_str(), "rb");
-  if (run->file == nullptr) return Status::IOError("reopen " + path);
-  {
-    MutexLock bl(backend_stats_mu_);
-    backend_stats_.sst_bytes += off;
-  }
-  return run;
+  return BuildRun(
+      tier, sources.size(), [&](size_t i, Hash* cid, Bytes* record) {
+        const Source& src = sources[i];
+        *cid = src.entry->cid;
+        return ReadRawRecordAt(src.run->file, src.entry->offset,
+                               src.entry->length, record);
+      });
 }
 
 Status LsmChunkStore::CompactUntilStable() {
@@ -698,39 +544,12 @@ Status LsmChunkStore::Get(const Hash& cid, Chunk* chunk) const {
       *chunk = mit->second;
       return Status::OK();
     }
-    for (const RunPtr& r : runs_) {
-      if (r->entries.empty() || CidCompare(cid, r->min_cid) < 0 ||
-          CidCompare(cid, r->max_cid) > 0) {
-        continue;
-      }
-      if (!r->bloom->MayContain(cid.slice())) {
-        bloom_skips_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (const IndexEntry* e = r->Find(cid)) {
-        run = r;
-        entry = *e;
-        break;
-      }
-    }
+    const IndexEntry* e = FindInRuns(cid, &run);
+    if (e != nullptr) entry = *e;
   }
   if (run == nullptr) return Status::NotFound("chunk " + cid.ToShortHex());
 
-  Bytes body(entry.length);
-  {
-    MutexLock rl(run->read_mu);
-    if (std::fseek(run->file,
-                   static_cast<long>(entry.offset + kRecordHeader),
-                   SEEK_SET) != 0 ||
-        (entry.length > 0 &&
-         std::fread(body.data(), 1, entry.length, run->file) !=
-             entry.length)) {
-      return Status::IOError("read " + run->path);
-    }
-  }
-  if (!Chunk::Deserialize(Slice(body), chunk)) {
-    return Status::Corruption("bad chunk encoding in " + run->path);
-  }
+  FB_RETURN_NOT_OK(ReadRecordAt(run->file, entry.offset, entry.length, chunk));
   if (block_cache_ != nullptr) block_cache_->Put(cid, *chunk);
   return Status::OK();
 }
@@ -751,15 +570,7 @@ bool LsmChunkStore::Contains(const Hash& cid) const {
 
 ChunkStoreStats LsmChunkStore::stats() const {
   ChunkStoreStats s = stats_.Snapshot();
-  if (block_cache_ != nullptr) {
-    const BlockCacheStats bc = block_cache_->stats();
-    s.cache_hits += bc.hits;
-    s.cache_misses += bc.misses;
-    s.cache_hit_bytes += bc.hit_bytes;
-    s.cache_miss_bytes += bc.miss_bytes;
-    s.cache_admissions += bc.admissions;
-    s.cache_rejections += bc.rejections;
-  }
+  if (block_cache_ != nullptr) block_cache_->AddStatsTo(&s);
   return s;
 }
 

@@ -17,12 +17,11 @@
 //
 // Layout under `dir`:
 //  * wal-<seq>.fbw   — write-ahead log of the current memtable, group
-//                      committed with the same combiner discipline (and
-//                      the same record format) as LogChunkStore:
-//                      [fixed32 len][cid 32B][chunk bytes]. A flush
-//                      seals the WAL's contents into an SST and deletes
-//                      it; replay after a crash is idempotent because
-//                      commits dedup.
+//                      committed through the same GroupCommitQueue, in
+//                      the same chunk/record_file.h records, as
+//                      LogChunkStore. A flush seals the WAL's contents
+//                      into an SST and deletes it; replay after a crash
+//                      is idempotent because commits dedup.
 //  * sst-<seq>-t<tier>.fbs — immutable sorted runs (records in cid
 //                      order, same record format). Each carries its
 //                      size-tier in the name so compaction state
@@ -52,6 +51,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -112,8 +112,8 @@ class LsmChunkStore : public ChunkStore {
   };
 
   // An immutable sorted run. `entries` is sorted by cid; `file` is a
-  // read handle onto the (possibly already unlinked) SST, guarded by
-  // read_mu for seek+read pairs.
+  // read handle onto the (possibly already unlinked) SST, read only
+  // positionally, so concurrent readers share it without a lock.
   struct Run {
     std::vector<IndexEntry> entries;
     std::unique_ptr<BloomFilter> bloom;
@@ -123,9 +123,6 @@ class LsmChunkStore : public ChunkStore {
     uint64_t seq = 0;
     std::string path;
     std::FILE* file = nullptr;
-    // Innermost (leaf) rank: held only for a seek+read pair, never
-    // while any store lock is wanted.
-    mutable Mutex read_mu{kRankStoreLeaf, "sst-read"};
     ~Run() {
       if (file != nullptr) std::fclose(file);
     }
@@ -133,11 +130,6 @@ class LsmChunkStore : public ChunkStore {
     const IndexEntry* Find(const Hash& cid) const;
   };
   using RunPtr = std::shared_ptr<Run>;
-
-  struct PendingAppend {
-    const Hash* cid;
-    const Chunk* chunk;
-  };
 
   // Defined in lsm_chunk_store.cc: the ctor needs the complete
   // AdmissionChunkCache type behind block_cache_.
@@ -151,32 +143,43 @@ class LsmChunkStore : public ChunkStore {
       REQUIRES(mu_);
   // Builds a Run by scanning an SST file, verifying every cid.
   Result<RunPtr> LoadRun(const std::string& path, uint64_t seq, size_t tier);
+  // Builds run->bloom and the min/max fences over run->entries (sorted
+  // by cid) and opens the run's read handle.
+  Status FinishRun(Run* run) const;
 
-  // Group-commit plumbing (LogChunkStore's combiner discipline).
-  Status EnqueueAndWait(const PendingAppend* entries, size_t n)
-      EXCLUDES(gc_mu_);
-  Status CommitGroup(const std::vector<PendingAppend>& group)
-      EXCLUDES(mu_, gc_mu_, flush_mu_);
+  // The commit body (Put/PutBatch go through gc_): appends the fresh
+  // records to the WAL, then flushes once the memtable is full.
+  Status CommitGroup(const std::vector<CommitRecord>& group)
+      EXCLUDES(mu_, flush_mu_);
   // Appends the staged records to the WAL, syncs per policy, publishes
   // them into the memtable.
   Status CommitStaged(Bytes* buf,
                       std::vector<std::pair<Hash, const Chunk*>>* staged)
       REQUIRES(mu_);
-  Status SyncWal() REQUIRES(mu_);
 
   // True when a memtable (live or sealing) or run holds `cid`.
   bool ContainsLocked(const Hash& cid) const REQUIRES(mu_);
+  // The index entry of `cid` in the first run that holds it (fences,
+  // then bloom, then binary search), or nullptr; *holder (if non-null)
+  // receives that run.
+  const IndexEntry* FindInRuns(const Hash& cid, RunPtr* holder) const
+      REQUIRES(mu_);
   // Seals the memtable into a tier-0 SST, rotates the WAL, then
   // compacts size-tiered until every tier < fanout runs. File I/O runs
   // with mu_ released; flush_mu_ serializes concurrent flushers.
   Status FlushAndCompact() EXCLUDES(mu_, flush_mu_);
   Status CompactUntilStable() REQUIRES(flush_mu_) EXCLUDES(mu_);
-  // Writes `sorted_chunks`' records into a new SST at `tier` and
-  // returns its loaded Run. Pure file I/O: must not run under mu_.
-  Result<RunPtr> WriteSst(
-      std::vector<std::pair<Hash, const Chunk*>> sorted_chunks, size_t tier)
-      EXCLUDES(mu_);
   Result<RunPtr> MergeRuns(const std::vector<RunPtr>& victims, size_t tier)
+      EXCLUDES(mu_);
+  // Produces record `i` of a run being built, in cid order: its cid and
+  // its full on-disk bytes (header included).
+  using RecordSource =
+      std::function<Status(size_t i, Hash* cid, Bytes* record)>;
+  // Writes the `n` records of `next` into a new SST at `tier` — built
+  // under a .tmp name, fsynced, renamed into place — and returns its
+  // loaded Run. Flush and compaction both seal runs here. Pure file I/O:
+  // must not run under mu_.
+  Result<RunPtr> BuildRun(size_t tier, size_t n, const RecordSource& next)
       EXCLUDES(mu_);
 
   std::string WalPath(uint64_t seq) const;
@@ -204,14 +207,9 @@ class LsmChunkStore : public ChunkStore {
   uint64_t wal_seq_ GUARDED_BY(mu_) = 0;
   std::string wal_path_ GUARDED_BY(mu_);
 
-  // Group-commit queue; gc_mu_ never held across file I/O.
-  Mutex gc_mu_{kRankStoreCombiner, "lsm-gc"};
-  CondVar gc_cv_;
-  std::vector<PendingAppend> gc_queue_ GUARDED_BY(gc_mu_);
-  uint64_t gc_enqueued_ GUARDED_BY(gc_mu_) = 0;
-  uint64_t gc_durable_ GUARDED_BY(gc_mu_) = 0;
-  bool gc_combiner_active_ GUARDED_BY(gc_mu_) = false;
-  Status gc_error_ GUARDED_BY(gc_mu_);
+  GroupCommitQueue gc_{"lsm-gc", [this](const std::vector<CommitRecord>& g) {
+                         return CommitGroup(g);
+                       }};
 
   std::unique_ptr<AdmissionChunkCache> block_cache_;
 

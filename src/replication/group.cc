@@ -234,6 +234,9 @@ bool ReplicaGroup::ShipOnce(FollowerState* f) {
     }
   }
   if (f->stop.load(std::memory_order_acquire)) return true;
+  // Stalled while reading or waiting: ship nothing, or a follower the
+  // caller already paused would still ack the new records.
+  if (f->stalled.load(std::memory_order_acquire)) return true;
   if (role_cache_.load(std::memory_order_acquire) != Role::kLeader) {
     return true;  // retired mid-flight; the stop flag follows
   }

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "api/service.h"
-#include "chunk/chunk_cache.h"
+#include "chunk/block_cache.h"
 #include "rpc/frame.h"
 #include "rpc/socket.h"
 #include "util/mutex.h"
@@ -42,7 +42,7 @@ namespace rpc {
 class RemoteService;
 
 // The client's view of the remote chunk store. Thread-safe (the
-// underlying connections are). An optional client-side LRU cache sits
+// underlying connections are). An optional client-side cache sits
 // in front of the wire: chunks are immutable and content-addressed, so
 // a cached copy can never go stale, and a re-read of a chunk this
 // client already pulled (or just wrote) costs no round trip at all.
@@ -50,8 +50,9 @@ class RemoteChunkStore : public ChunkStore {
  public:
   RemoteChunkStore(RemoteService* service, size_t cache_bytes)
       : service_(service),
-        cache_(cache_bytes > 0 ? std::make_unique<LruChunkCache>(cache_bytes)
-                               : nullptr) {}
+        cache_(cache_bytes > 0
+                   ? std::make_unique<AdmissionChunkCache>(cache_bytes)
+                   : nullptr) {}
 
   using ChunkStore::Put;
   Status Put(const Hash& cid, const Chunk& chunk) override;
@@ -61,19 +62,19 @@ class RemoteChunkStore : public ChunkStore {
   // One kChunkGetBatch round trip for every cid the cache cannot serve.
   Status GetBatch(const std::vector<Hash>& cids,
                   std::vector<Chunk>* chunks) const override;
-  // Server-side counters, with this client's cache hits/misses folded
-  // into cache_hits/cache_misses.
+  // Server-side counters, with this client's cache counters folded into
+  // the cache_* fields.
   ChunkStoreStats stats() const override;
 
  private:
   RemoteService* service_;
-  const std::unique_ptr<LruChunkCache> cache_;
+  const std::unique_ptr<AdmissionChunkCache> cache_;
 };
 
 struct RemoteServiceOptions {
   size_t pool_size = 2;  // concurrent sockets to the server
   // Byte budget of the client-side chunk cache (0 disables it).
-  size_t chunk_cache_bytes = LruChunkCache::kDefaultCapacityBytes;
+  size_t chunk_cache_bytes = AdmissionChunkCache::kViewCapacityBytes;
 };
 
 class RemoteService : public ForkBaseService {

@@ -16,7 +16,7 @@
 //     -> store group-commit combiner queues
 //     -> store shards / memtables
 //     -> caches (chunk / block / hot-head)
-//     -> store leaves (backend stats, SST read handles)
+//     -> store leaves (backend stats)
 //     -> peer resolver (invoked from inside a store miss)
 //     -> remote-service client pool -> remote-service connection
 //
@@ -53,7 +53,7 @@ enum LockRank : int {
   kRankStoreCombiner = 400,  // group-commit combiner queues
   kRankStore = 500,          // store shards / log index / LSM memtable
   kRankCache = 600,          // chunk / block / hot-head caches
-  kRankStoreLeaf = 700,      // backend stats, SST read handles
+  kRankStoreLeaf = 700,      // backend stats
   kRankPeerResolver = 800,   // peer set / health (under a store miss)
   kRankPeerFlight = 820,     // single-flight rendezvous
   kRankRemoteClient = 900,   // RemoteService connection pool
@@ -101,7 +101,9 @@ inline void OnAcquire(const void* mu, int rank, const char* name,
   if (rank != kRankUnranked) {
     // Find the highest-ranked lock already held; ranks must strictly
     // increase, except sibling walks flagged kSameRankOk on both sides.
-    for (int i = 0; i < s.depth; ++i) {
+    // Past kMax only depth is tracked, so only the first kMax are read.
+    const int tracked = s.depth < HeldStack::kMax ? s.depth : HeldStack::kMax;
+    for (int i = 0; i < tracked; ++i) {
       const Held& h = s.held[i];
       if (h.rank == kRankUnranked) continue;
       if (rank < h.rank) {

@@ -11,7 +11,6 @@
 
 #include "chunk/block_cache.h"
 #include "chunk/chunk.h"
-#include "chunk/chunk_cache.h"
 #include "chunk/chunk_store.h"
 #include "cluster/cluster.h"
 #include "util/random.h"
@@ -545,99 +544,6 @@ TEST(ChunkStorePoolTest, TotalStatsAggregates) {
 }
 
 // ---------------------------------------------------------------------------
-// LruChunkCache + the ServletChunkStore fallback cache
-// ---------------------------------------------------------------------------
-
-TEST(LruChunkCacheTest, HitsMissesAndRefresh) {
-  LruChunkCache cache(1 << 20);
-  const Chunk a = MakeChunk(ChunkType::kBlob, "aaaa");
-  const Hash ca = a.ComputeCid();
-  Chunk out;
-  EXPECT_FALSE(cache.Get(ca, &out));
-  cache.Put(ca, a);
-  ASSERT_TRUE(cache.Get(ca, &out));
-  EXPECT_EQ(out.payload().ToString(), "aaaa");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Re-putting the same cid charges nothing extra.
-  const size_t bytes = cache.size_bytes();
-  cache.Put(ca, a);
-  EXPECT_EQ(cache.size_bytes(), bytes);
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(LruChunkCacheTest, EvictsLeastRecentlyUsedByBytes) {
-  // Budget for roughly two of the three chunks (each ~100B + type byte).
-  std::vector<Chunk> chunks;
-  std::vector<Hash> cids;
-  for (int i = 0; i < 3; ++i) {
-    chunks.push_back(MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i)));
-    cids.push_back(chunks.back().ComputeCid());
-  }
-  LruChunkCache cache(2 * chunks[0].serialized_size() + 10);
-  cache.Put(cids[0], chunks[0]);
-  cache.Put(cids[1], chunks[1]);
-  Chunk out;
-  // Touch 0 so 1 becomes the LRU victim.
-  ASSERT_TRUE(cache.Get(cids[0], &out));
-  cache.Put(cids[2], chunks[2]);
-  EXPECT_TRUE(cache.Get(cids[0], &out));
-  EXPECT_FALSE(cache.Get(cids[1], &out)) << "LRU entry survived eviction";
-  EXPECT_TRUE(cache.Get(cids[2], &out));
-  EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
-
-  // A chunk bigger than the whole budget is refused outright.
-  const Chunk huge = MakeChunk(ChunkType::kBlob, std::string(1000, 'z'));
-  cache.Put(huge.ComputeCid(), huge);
-  EXPECT_FALSE(cache.Get(huge.ComputeCid(), &out));
-}
-
-TEST(LruChunkCacheTest, ReinsertReplacesChargeInsteadOfDoubleCounting) {
-  // Regression: re-inserting an existing cid must REPLACE the old
-  // entry's byte charge. The old code refreshed recency and returned,
-  // which was correct for identical bytes but kept no accounting path
-  // for a replacement — and any variant that re-charged would let
-  // bytes_ creep past capacity_ with no extra entries to evict.
-  const Chunk small = MakeChunk(ChunkType::kBlob, std::string(100, 's'));
-  const Chunk large = MakeChunk(ChunkType::kBlob, std::string(300, 'l'));
-  const Hash cid = small.ComputeCid();  // cache keys on the caller's cid
-  LruChunkCache cache(1000);
-
-  // Alternating overwrites of ONE cid: the charge must track the stored
-  // chunk, the entry count must stay 1, and the budget must always hold.
-  for (int round = 0; round < 50; ++round) {
-    const Chunk& chunk = (round % 2 == 0) ? small : large;
-    cache.Put(cid, chunk);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.size_bytes(), chunk.serialized_size());
-    EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
-  }
-
-  // The replaced entry serves the latest bytes.
-  Chunk out;
-  ASSERT_TRUE(cache.Get(cid, &out));
-  EXPECT_EQ(out.payload_size(), large.payload_size());
-
-  // Same-chunk re-puts stay charge-neutral (the content-addressed case).
-  const size_t bytes = cache.size_bytes();
-  for (int i = 0; i < 10; ++i) cache.Put(cid, large);
-  EXPECT_EQ(cache.size_bytes(), bytes);
-  EXPECT_EQ(cache.entries(), 1u);
-
-  // Overwrites alongside other residents never push past the budget.
-  LruChunkCache mixed(4 * small.serialized_size());
-  std::vector<Chunk> fill;
-  for (int i = 0; i < 3; ++i) {
-    fill.push_back(MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i)));
-    mixed.Put(fill.back().ComputeCid(), fill.back());
-  }
-  for (int round = 0; round < 20; ++round) {
-    mixed.Put(cid, (round % 2 == 0) ? large : small);
-    EXPECT_LE(mixed.size_bytes(), mixed.capacity_bytes());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // AdmissionChunkCache: TinyLFU admission + segmented LRU eviction order
 // ---------------------------------------------------------------------------
 //
@@ -663,7 +569,7 @@ TEST(AdmissionChunkCacheTest, HitPromotesAndCountsBytes) {
 }
 
 TEST(AdmissionChunkCacheTest, OneTouchScanCannotDisplaceHotResidents) {
-  // The scan-resistance property LruChunkCache lacks: a long one-touch
+  // The scan-resistance property plain LRU lacks: a long one-touch
   // scan over a full cache must bounce off the admission duel, leaving
   // the multi-touch hot set resident.
   std::vector<Chunk> hot;
@@ -768,6 +674,49 @@ TEST(AdmissionChunkCacheTest, EvictionTakesProbationTailBeforeProtected) {
   EXPECT_TRUE(cache.Contains(c.ComputeCid()));
 }
 
+TEST(AdmissionChunkCacheTest, ReinsertOfResidentCidIsChargeNeutral) {
+  // Re-putting a resident cid (a racing filler, a write-through of a
+  // chunk already cached) must not stack a second charge: size_bytes()
+  // and entries() stay put and the budget always holds. Nothing here
+  // tests eviction order or new bytes under an old cid: the cache keeps
+  // no plain LRU order, and content addressing cannot produce new bytes
+  // under an old cid.
+  const Chunk c = MakeChunk(ChunkType::kBlob, std::string(100, 's'));
+  const Hash cid = c.ComputeCid();
+  AdmissionChunkCache cache(1000, /*n_shards=*/1);
+  cache.Put(cid, c);
+  ASSERT_EQ(cache.entries(), 1u);
+  ASSERT_EQ(cache.size_bytes(), c.serialized_size());
+
+  Chunk out;
+  for (int round = 0; round < 10; ++round) {
+    // Probation on the first round, protected after the Get promotes it.
+    cache.Put(cid, c);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.size_bytes(), c.serialized_size());
+    ASSERT_TRUE(cache.Get(cid, &out));
+    EXPECT_EQ(out.payload().ToString(), c.payload().ToString());
+  }
+
+  // Re-puts alongside other residents of a full cache never push past
+  // the budget or change the resident set.
+  std::vector<Chunk> fill;
+  for (int i = 0; i < 4; ++i) {
+    fill.push_back(MakeChunk(ChunkType::kBlob, std::string(100, 'a' + i)));
+  }
+  AdmissionChunkCache full(4 * fill[0].serialized_size(), /*n_shards=*/1);
+  for (const Chunk& f : fill) full.Put(f.ComputeCid(), f);
+  ASSERT_EQ(full.entries(), 4u);
+  const size_t bytes = full.size_bytes();
+  for (int round = 0; round < 20; ++round) {
+    const Chunk& f = fill[round % fill.size()];
+    full.Put(f.ComputeCid(), f);
+    EXPECT_EQ(full.size_bytes(), bytes);
+    EXPECT_EQ(full.entries(), 4u);
+    EXPECT_LE(full.size_bytes(), full.capacity_bytes());
+  }
+}
+
 TEST(AdmissionChunkCacheTest, OversizedChunkIsNeverCached) {
   const Chunk huge = MakeChunk(ChunkType::kBlob, std::string(4000, 'z'));
   AdmissionChunkCache cache(1000, /*n_shards=*/1);
@@ -781,7 +730,7 @@ TEST(ServletChunkStoreTest, FallbackCacheAbsorbsRepeatedPoolScans) {
   // A data chunk parked where neither the cid route nor the local
   // instance expects it (the footprint of a foreign placement policy)
   // is found by the pool-scan fallback once, then served from the
-  // servlet's LRU cache.
+  // servlet's fallback cache.
   std::vector<std::unique_ptr<MemChunkStore>> pool;
   for (int i = 0; i < 4; ++i) pool.push_back(std::make_unique<MemChunkStore>());
   ServletChunkStore view(&pool, /*local_id=*/0, /*two_layer=*/true);

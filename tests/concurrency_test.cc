@@ -1,4 +1,5 @@
-// Concurrency tests for the striped chunk-store layer and the striped
+// Concurrency tests for the striped chunk-store layer (and the
+// GroupCommitQueue under its batched write paths) and the striped
 // BranchManager behind ForkBase: N threads hammering MemChunkStore /
 // ChunkStorePool / LogChunkStore with overlapping Puts, Gets and batched
 // operations, plus guarded and fork-on-conflict commits on disjoint and
@@ -19,8 +20,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <future>
@@ -28,6 +32,7 @@
 #include "api/db.h"
 #include "chunk/chunk.h"
 #include "chunk/chunk_store.h"
+#include "chunk/group_commit.h"
 #include "chunk/peer_resolver.h"
 #include "cluster/client.h"
 #include "cluster/cluster.h"
@@ -164,6 +169,127 @@ TEST(ConcurrencyTest, MemChunkStoreParallelBatches) {
   const Expected e = ComputeExpected();
   CheckStatsInvariants(store.stats(), e.total_puts, e.distinct_chunks,
                        e.distinct_bytes, e.logical_bytes);
+}
+
+TEST(GroupCommitQueueTest, ConcurrentSubmittersCommitEveryRecordOnce) {
+  // 8 submitters with mixed batch sizes (single records included): every
+  // record reaches exactly one commit body, commit bodies never overlap,
+  // and a Submit returns only after its own records are committed.
+  std::mutex mu;
+  std::unordered_map<Hash, int, HashHasher> committed;  // guarded by mu
+  std::atomic<int> in_body{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<uint64_t> groups{0};
+  GroupCommitQueue queue("test-gc", [&](const std::vector<CommitRecord>& g) {
+    if (in_body.fetch_add(1) != 0) overlapped = true;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const CommitRecord& r : g) ++committed[*r.cid];
+    }
+    groups.fetch_add(1);
+    in_body.fetch_sub(1);
+    return Status::OK();
+  });
+
+  constexpr size_t kBatchSizes[] = {1, 3, 7, 16, 2, 31};
+  std::atomic<uint64_t> not_visible{0};
+  std::atomic<uint64_t> submitted{0};
+  RunThreads([&](size_t t) {
+    size_t next = 0;
+    for (size_t round = 0; next < kChunksPerThread; ++round) {
+      const size_t want = kBatchSizes[(t + round) % std::size(kBatchSizes)];
+      ChunkBatch batch;
+      for (; batch.size() < want && next < kChunksPerThread; ++next) {
+        // Unique per thread and index (no dedup: the queue commits
+        // records, it does not interpret them).
+        const Chunk c(ChunkType::kBlob,
+                      ToBytes("gc-" + std::to_string(t) + "-" +
+                              std::to_string(next)));
+        batch.emplace_back(c.ComputeCid(), c);
+      }
+      const Status s = batch.size() == 1
+                           ? queue.Submit(batch[0].first, batch[0].second)
+                           : queue.Submit(batch);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      submitted.fetch_add(batch.size());
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [cid, chunk] : batch) {
+        if (committed.count(cid) == 0) ++not_visible;
+      }
+    }
+  });
+
+  EXPECT_FALSE(overlapped.load()) << "two commit bodies ran at once";
+  EXPECT_EQ(not_visible.load(), 0u) << "Submit returned before its commit";
+  EXPECT_EQ(submitted.load(), kThreads * kChunksPerThread);
+  EXPECT_EQ(committed.size(), kThreads * kChunksPerThread);
+  for (const auto& [cid, n] : committed) {
+    ASSERT_EQ(n, 1) << "record committed " << n << " times";
+  }
+  EXPECT_LE(groups.load(), submitted.load());
+}
+
+TEST(GroupCommitQueueTest, FailedCommitIsStickyForEveryLaterSubmitter) {
+  // The Log/Lsm contract: once a commit body fails, the store refuses
+  // every later write with that first error, and never runs a commit
+  // body again.
+  const Chunk poison(ChunkType::kBlob, ToBytes("poison"));
+  const Hash poison_cid = poison.ComputeCid();
+  std::atomic<uint64_t> bodies_after_failure{0};
+  std::atomic<bool> failed{false};
+  GroupCommitQueue queue("test-gc", [&](const std::vector<CommitRecord>& g) {
+    if (failed.load()) ++bodies_after_failure;
+    for (const CommitRecord& r : g) {
+      if (*r.cid == poison_cid) {
+        failed = true;
+        return Status::IOError("disk on fire");
+      }
+    }
+    return Status::OK();
+  });
+
+  const Chunk before(ChunkType::kBlob, ToBytes("before"));
+  ASSERT_TRUE(queue.Submit(before.ComputeCid(), before).ok());
+
+  // Concurrent writers around the failure: the poisoned submitter must
+  // see the error; the others may or may not, depending on which group
+  // their records landed in.
+  std::atomic<uint64_t> poison_ok{0};
+  RunThreads([&](size_t t) {
+    for (size_t i = 0; i < 50; ++i) {
+      if (t == 0 && i == 25) {
+        if (queue.Submit(poison_cid, poison).ok()) ++poison_ok;
+        continue;
+      }
+      const Chunk c(ChunkType::kBlob, ToBytes("w-" + std::to_string(t) +
+                                              "-" + std::to_string(i)));
+      (void)queue.Submit(c.ComputeCid(), c);
+    }
+  });
+  EXPECT_EQ(poison_ok.load(), 0u);
+  ASSERT_TRUE(failed.load());
+  // Groups already drained when the failure hit may still have run a
+  // body; none may start for a submission made after it.
+  const uint64_t settled = bodies_after_failure.load();
+
+  // Every later submitter, single or batched, concurrent or not, gets
+  // the first error.
+  std::atomic<uint64_t> wrong{0};
+  RunThreads([&](size_t t) {
+    for (size_t i = 0; i < 20; ++i) {
+      const Chunk c(ChunkType::kBlob, ToBytes("after-" + std::to_string(t) +
+                                              "-" + std::to_string(i)));
+      ChunkBatch batch{{c.ComputeCid(), c}, {before.ComputeCid(), before}};
+      const Status s = i % 2 == 0 ? queue.Submit(c.ComputeCid(), c)
+                                  : queue.Submit(batch);
+      if (s.code() != StatusCode::kIOError ||
+          s.ToString().find("disk on fire") == std::string::npos) {
+        ++wrong;
+      }
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(bodies_after_failure.load(), settled);
 }
 
 TEST(ConcurrencyTest, ChunkStorePoolParallelMixedOps) {

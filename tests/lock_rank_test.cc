@@ -161,7 +161,7 @@ TEST(LockRankTest, HeldStackSurvivesDeepNesting) {
 // ---------------------------------------------------------------------------
 // LsmChunkStore under the armed detector: flush + compaction concurrent
 // with Get. A tiny memtable forces a flush every few puts and fanout=2
-// forces merges, so writer threads continuously run the seal -> WriteSst
+// forces merges, so writer threads continuously run the seal -> BuildRun
 // (unlocked) -> republish path and the compaction snapshot/merge/swap
 // path while reader threads probe memtable, sealing memtable and runs.
 // Any I/O performed under mu_, or any flush_mu_/mu_ inversion, aborts

@@ -111,6 +111,22 @@ TEST(Sha256Test, EmptyString) {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
+TEST(Sha256Test, EmptyInputsIncludingNullSlice) {
+  // Slice() carries a null data pointer; hashing it must not touch it
+  // (the UBSan job flags a zero-length memcpy from null).
+  const std::string kEmpty =
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+  EXPECT_EQ(HexEncode(Slice(Sha256::Hash(Slice()).data(), 32)), kEmpty);
+  EXPECT_EQ(HexEncode(Slice(Sha256::Hash(Slice("")).data(), 32)), kEmpty);
+  // Empty updates mid-stream change nothing, partial block buffered or not.
+  Sha256 h;
+  h.Update(Slice());
+  h.Update(Slice("ab"));
+  h.Update(Slice());
+  h.Update(Slice("c"));
+  EXPECT_EQ(h.Finalize(), Sha256::Hash("abc"));
+}
+
 TEST(Sha256Test, Abc) {
   EXPECT_EQ(HashHex("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
