@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/status.h"
@@ -44,11 +46,38 @@ inline bool FlagArg(int argc, char** argv, const char* flag) {
   return false;
 }
 
+// The machine a result came from: "model name" of /proc/cpuinfo.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+// How this binary was compiled, from the flags it saw.
+inline const char* BuildType() {
+#if defined(NDEBUG) && defined(__OPTIMIZE__)
+  return "release";
+#elif defined(__OPTIMIZE__)
+  return "optimized-with-asserts";
+#else
+  return "debug";
+#endif
+}
+
 // Accumulates benchmark results and, when `--json` was passed, writes
 // them to BENCH_<name>.json on destruction:
 //
 //   {
 //     "bench": "<name>",
+//     "host": {"nproc": 4, "cpu_model": "...", "build_type": "release"},
 //     "config": {"scale": 0.25, ...},
 //     "results": [{"phase": "put", "threads": 8, "kops": 123.4}, ...]
 //   }
@@ -70,7 +99,11 @@ class BenchJson {
       std::fprintf(stderr, "BenchJson: cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"config\": {", name_.c_str());
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+    std::fprintf(f, "  \"host\": {\"nproc\": %u, \"cpu_model\": %s, "
+                 "\"build_type\": \"%s\"},\n  \"config\": {",
+                 std::thread::hardware_concurrency(),
+                 Quoted(CpuModel().c_str()).c_str(), BuildType());
     for (size_t i = 0; i < config_.size(); ++i) {
       std::fprintf(f, "%s%s", i == 0 ? "" : ", ", config_[i].c_str());
     }
@@ -108,7 +141,10 @@ class BenchJson {
  private:
   static std::string Number(double v) {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    // Whole numbers (sizes, counts) print exactly; others to 6 digits.
+    const bool whole = v > -1e15 && v < 1e15 &&
+                       v == static_cast<double>(static_cast<long long>(v));
+    std::snprintf(buf, sizeof(buf), whole ? "%.0f" : "%.6g", v);
     return buf;
   }
   static std::string Quoted(const char* v) {

@@ -1,9 +1,11 @@
 #include "pos_tree/chunker.h"
 
+#include <algorithm>
+
 namespace fb {
 
 Status LeafChunker::Commit() {
-  FB_ASSIGN_OR_RETURN(Hash cid, writer_.Add(Chunk(leaf_type_, buf_)));
+  FB_ASSIGN_OR_RETURN(Hash cid, writer_->Add(Chunk(leaf_type_, buf_)));
   entries_.push_back(Entry{cid, buf_count_, last_key_});
   buf_.clear();
   buf_count_ = 0;
@@ -30,6 +32,47 @@ Status LeafChunker::AppendElement(Slice element_bytes, Slice key,
   return Status::OK();
 }
 
+void LeafChunker::Buffer(const ElementRun& run, size_t from, size_t to) {
+  if (from == to) return;
+  buf_.insert(buf_.end(), run.base + run.bounds[from],
+              run.base + run.bounds[to]);
+  buf_count_ += to - from;
+  const Slice last(run.base + run.bounds[to - 1],
+                   run.bounds[to] - run.bounds[to - 1]);
+  const Slice key = DecodeElement(leaf_type_, last).key;
+  last_key_.assign(key.begin(), key.end());
+}
+
+Status LeafChunker::AppendRun(const ElementRun& run) {
+  const size_t max = cfg_.max_leaf_bytes();
+  const size_t end = run.bounds[run.n];
+  size_t first = 0;  // first element not yet buffered
+  size_t off = run.bounds[0];
+  while (off < end) {
+    // Hash up to the size cap: the element holding the byte that reaches
+    // it is cut whatever its remaining bytes hash to.
+    const size_t room = max - buf_.size();
+    bool hit = false;
+    const size_t took = hasher_.FeedUntilPattern(
+        run.base + off, std::min(end - off, room), cfg_.leaf_pattern_bits,
+        &hit);
+    if (!hit && took < room) {
+      Buffer(run, first, run.n);
+      return Status::OK();
+    }
+    // Cut at the end of the element holding the last byte hashed.
+    const size_t last = static_cast<size_t>(
+        std::upper_bound(run.bounds + first, run.bounds + run.n + 1,
+                         off + took - 1) -
+        run.bounds - 1);
+    Buffer(run, first, last + 1);
+    FB_RETURN_NOT_OK(Commit());
+    first = last + 1;
+    off = run.bounds[first];
+  }
+  return Status::OK();
+}
+
 Status LeafChunker::AppendRaw(Slice bytes) {
   const uint8_t* p = bytes.data();
   size_t remaining = bytes.size();
@@ -49,57 +92,60 @@ Status LeafChunker::AppendRaw(Slice bytes) {
   return Status::OK();
 }
 
-Status LeafChunker::Finish() {
-  if (!buf_.empty()) FB_RETURN_NOT_OK(Commit());
-  return writer_.Flush();
+void LeafChunker::AppendQuiet(Slice bytes, uint64_t count, Slice last_key) {
+  hasher_.Absorb(bytes.data(), bytes.size());
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  buf_count_ += count;
+  last_key_.assign(last_key.begin(), last_key.end());
 }
 
-Result<Hash> BuildIndexLevels(ChunkStore* store, const TreeConfig& cfg,
-                              ChunkType leaf_type, std::vector<Entry> level) {
+Status LeafChunker::Finish() {
+  if (!buf_.empty()) FB_RETURN_NOT_OK(Commit());
+  return Status::OK();
+}
+
+Status IndexChunker::Commit() {
+  FB_ASSIGN_OR_RETURN(Hash cid, writer_->Add(Chunk(index_type_, buf_)));
+  entries_.push_back(Entry{cid, node_count_, node_key_});
+  buf_.clear();
+  node_count_ = 0;
+  node_key_.clear();
+  node_entries_ = 0;
+  return Status::OK();
+}
+
+Status IndexChunker::Append(const Hash& cid, uint64_t count, Slice key) {
+  EncodeEntry(cid, count, key, &buf_);
+  node_count_ += count;
+  node_key_.assign(key.begin(), key.end());
+  ++node_entries_;
+  // Pattern P': boundary when the child cid's low r bits are zero.
+  if ((cid.Low64() & mask_) == 0 || node_entries_ >= max_entries_) {
+    return Commit();
+  }
+  return Status::OK();
+}
+
+Status IndexChunker::Finish() {
+  if (node_entries_ > 0) return Commit();
+  return Status::OK();
+}
+
+Result<Hash> BuildIndexLevels(BatchedChunkWriter* writer,
+                              const TreeConfig& cfg, ChunkType leaf_type,
+                              std::vector<Entry> level) {
   if (level.empty()) {
     // Canonical empty tree: a single empty leaf chunk.
-    return store->Put(Chunk(leaf_type, {}));
+    return writer->Add(Chunk(leaf_type, {}));
   }
-
-  const ChunkType index_type = IndexTypeFor(leaf_type);
-  const uint64_t mask = (uint64_t{1} << cfg.index_pattern_bits) - 1;
-
-  // Index nodes only reference child cids (computed locally), so every
-  // node of every level can be buffered and written in batches.
-  BatchedChunkWriter writer(store);
-
   while (level.size() > 1) {
-    std::vector<Entry> next;
-    Bytes buf;
-    uint64_t node_count = 0;
-    Bytes node_key;
-    size_t node_entries = 0;
-
-    auto commit = [&]() -> Status {
-      FB_ASSIGN_OR_RETURN(Hash cid, writer.Add(Chunk(index_type, buf)));
-      next.push_back(Entry{cid, node_count, node_key});
-      buf.clear();
-      node_count = 0;
-      node_key.clear();
-      node_entries = 0;
-      return Status::OK();
-    };
-
+    IndexChunker chunker(writer, IndexTypeFor(leaf_type), cfg);
     for (const Entry& e : level) {
-      EncodeEntry(e, &buf);
-      node_count += e.count;
-      node_key = e.key;
-      ++node_entries;
-      // Pattern P': boundary when the child cid's low r bits are zero.
-      const bool pattern = (e.cid.Low64() & mask) == 0;
-      if (pattern || node_entries >= cfg.max_index_entries()) {
-        FB_RETURN_NOT_OK(commit());
-      }
+      FB_RETURN_NOT_OK(chunker.Append(e.cid, e.count, Slice(e.key)));
     }
-    if (node_entries > 0) FB_RETURN_NOT_OK(commit());
-    level = std::move(next);
+    FB_RETURN_NOT_OK(chunker.Finish());
+    level = std::move(chunker.entries());
   }
-  FB_RETURN_NOT_OK(writer.Flush());
   return level[0].cid;
 }
 

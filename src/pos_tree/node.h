@@ -63,6 +63,17 @@ Status DecodeLeafElements(ChunkType leaf_type, Slice payload,
 // Number of base elements in a leaf chunk (bytes for Blob).
 Result<uint64_t> LeafElementCount(ChunkType leaf_type, Slice payload);
 
+// Element boundaries of a non-Blob leaf payload, found by reading only
+// the length headers: (*bounds)[i] is where element i starts and
+// bounds->back() == payload.size(), so a leaf of n elements yields n + 1
+// offsets.
+Status LeafElementBounds(ChunkType leaf_type, Slice payload,
+                         std::vector<uint32_t>* bounds);
+
+// Decodes one element given exactly its bytes (as LeafElementBounds
+// delimits them); a malformed element decodes to empty views.
+ElementView DecodeElement(ChunkType leaf_type, Slice element);
+
 // An index entry describing one child node.
 struct Entry {
   Hash cid;
@@ -70,11 +81,29 @@ struct Entry {
   Bytes key;           // max key in the subtree (sorted types only)
 };
 
+// An index entry decoded in place: `key` views the node's payload.
+struct EntryView {
+  Hash cid;
+  uint64_t count = 0;
+  Slice key;
+};
+
 // Serializes one index entry.
-void EncodeEntry(const Entry& e, Bytes* out);
+void EncodeEntry(const Hash& cid, uint64_t count, Slice key, Bytes* out);
 
 // Decodes all entries of an index chunk payload.
 Status DecodeIndexEntries(Slice payload, std::vector<Entry>* out);
+Status DecodeIndexEntryViews(Slice payload, std::vector<EntryView>* out);
+
+// Child choice when descending an index node (entries non-empty). By
+// key: the first entry whose max key is >= `key`, else the last. By
+// position: the entry holding element `pos`, else the last (pos ==
+// total appends there). `*skipped` receives the element count of the
+// entries before the chosen one.
+size_t ChildForKey(const std::vector<EntryView>& entries, Slice key,
+                   uint64_t* skipped);
+size_t ChildForPos(const std::vector<EntryView>& entries, uint64_t pos,
+                   uint64_t* skipped);
 
 }  // namespace fb
 

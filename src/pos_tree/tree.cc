@@ -1,6 +1,8 @@
 #include "pos_tree/tree.h"
 
 #include <algorithm>
+#include <deque>
+#include <map>
 
 namespace fb {
 
@@ -12,28 +14,33 @@ Result<Hash> PosTree::BuildFromElements(ChunkStore* store,
                                         const TreeConfig& cfg,
                                         ChunkType leaf_type,
                                         const std::vector<Element>& elements) {
-  LeafChunker chunker(store, leaf_type, cfg);
+  BatchedChunkWriter writer(store);
+  LeafChunker chunker(&writer, leaf_type, cfg);
   Bytes encoded;
   for (const Element& e : elements) {
     encoded.clear();
     EncodeElement(leaf_type, Slice(e.key), Slice(e.value), &encoded);
-    Status s = chunker.AppendElement(Slice(encoded), Slice(e.key), 1);
-    if (!s.ok()) return s;
+    FB_RETURN_NOT_OK(chunker.AppendElement(Slice(encoded), Slice(e.key), 1));
   }
-  Status s = chunker.Finish();
-  if (!s.ok()) return s;
-  return BuildIndexLevels(store, cfg, leaf_type, std::move(chunker.entries()));
+  FB_RETURN_NOT_OK(chunker.Finish());
+  FB_ASSIGN_OR_RETURN(Hash root,
+                      BuildIndexLevels(&writer, cfg, leaf_type,
+                                       std::move(chunker.entries())));
+  FB_RETURN_NOT_OK(writer.Flush());
+  return root;
 }
 
 Result<Hash> PosTree::BuildFromBytes(ChunkStore* store, const TreeConfig& cfg,
                                      Slice bytes) {
-  LeafChunker chunker(store, ChunkType::kBlob, cfg);
-  Status s = chunker.AppendRaw(bytes);
-  if (!s.ok()) return s;
-  s = chunker.Finish();
-  if (!s.ok()) return s;
-  return BuildIndexLevels(store, cfg, ChunkType::kBlob,
-                          std::move(chunker.entries()));
+  BatchedChunkWriter writer(store);
+  LeafChunker chunker(&writer, ChunkType::kBlob, cfg);
+  FB_RETURN_NOT_OK(chunker.AppendRaw(bytes));
+  FB_RETURN_NOT_OK(chunker.Finish());
+  FB_ASSIGN_OR_RETURN(Hash root,
+                      BuildIndexLevels(&writer, cfg, ChunkType::kBlob,
+                                       std::move(chunker.entries())));
+  FB_RETURN_NOT_OK(writer.Flush());
+  return root;
 }
 
 Result<Hash> PosTree::EmptyRoot(ChunkStore* store, ChunkType leaf_type) {
@@ -80,48 +87,32 @@ Result<size_t> PosTree::Height() const {
   }
 }
 
-Status PosTree::FindLeafByKey(Slice key, Chunk* leaf) const {
-  Hash cur = root_;
-  for (;;) {
-    Chunk chunk;
-    FB_RETURN_NOT_OK(ReadNode(cur, &chunk));
-    if (IsLeafType(chunk.type())) {
-      *leaf = std::move(chunk);
-      return Status::OK();
-    }
-    std::vector<Entry> entries;
-    FB_RETURN_NOT_OK(DecodeIndexEntries(chunk.payload(), &entries));
-    if (entries.empty()) return Status::Corruption("empty index node");
-    // Entries are ordered by max subtree key: descend into the first
-    // entry whose max key >= target, or the last entry otherwise.
-    size_t pick = entries.size() - 1;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (Slice(entries[i].key) >= key) {
-        pick = i;
-        break;
-      }
-    }
-    cur = entries[pick].cid;
-  }
-}
-
 Result<std::optional<Bytes>> PosTree::Find(Slice key) const {
   if (!IsSortedType(leaf_type_)) {
     return Status::InvalidArgument("Find requires a sorted type");
   }
-  Chunk leaf;
-  Status s = FindLeafByKey(key, &leaf);
-  if (!s.ok()) return s;
-  std::vector<ElementView> elems;
-  s = DecodeLeafElements(leaf.type(), leaf.payload(), &elems);
-  if (!s.ok()) return s;
-  const auto it = std::lower_bound(
-      elems.begin(), elems.end(), key,
-      [](const ElementView& e, const Slice& k) { return e.key < k; });
-  if (it == elems.end() || it->key != key) {
-    return std::optional<Bytes>{};
+  Chunk node;
+  FB_RETURN_NOT_OK(ReadNode(root_, &node));
+  std::vector<EntryView> entries;
+  while (IsIndexType(node.type())) {
+    FB_RETURN_NOT_OK(DecodeIndexEntryViews(node.payload(), &entries));
+    if (entries.empty()) return Status::Corruption("empty index node");
+    uint64_t skipped = 0;
+    const Hash child = entries[ChildForKey(entries, key, &skipped)].cid;
+    FB_RETURN_NOT_OK(ReadNode(child, &node));
   }
-  return std::optional<Bytes>{it->value.ToBytes()};
+  // Elements are sorted: scan up to the first key not below `key`.
+  std::vector<uint32_t> bounds;
+  FB_RETURN_NOT_OK(LeafElementBounds(node.type(), node.payload(), &bounds));
+  const uint8_t* base = node.payload().data();
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    const ElementView e = DecodeElement(
+        node.type(), Slice(base + bounds[i], bounds[i + 1] - bounds[i]));
+    const int c = e.key.compare(key);
+    if (c == 0) return std::optional<Bytes>{e.value.ToBytes()};
+    if (c > 0) break;
+  }
+  return std::optional<Bytes>{};
 }
 
 Status PosTree::LoadLeafEntries(std::vector<Entry>* out) const {
@@ -215,20 +206,6 @@ Status PosTree::VerifyIntegrity() const {
   return Status::OK();
 }
 
-size_t PosTree::LeafIndexForPos(const std::vector<Entry>& leaves,
-                                uint64_t pos, uint64_t* leaf_start) {
-  uint64_t cum = 0;
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    if (cum + leaves[i].count > pos) {
-      *leaf_start = cum;
-      return i;
-    }
-    cum += leaves[i].count;
-  }
-  *leaf_start = cum;
-  return leaves.size();
-}
-
 Result<Bytes> PosTree::ReadBytes(uint64_t pos, uint64_t n) const {
   if (leaf_type_ != ChunkType::kBlob) {
     return Status::InvalidArgument("ReadBytes requires Blob");
@@ -276,21 +253,26 @@ Result<Bytes> PosTree::GetElement(uint64_t index) const {
   if (leaf_type_ != ChunkType::kList) {
     return Status::InvalidArgument("GetElement requires List");
   }
-  std::vector<Entry> leaves;
-  Status s = LoadLeafEntries(&leaves);
-  if (!s.ok()) return s;
-  uint64_t leaf_start = 0;
-  const size_t li = LeafIndexForPos(leaves, index, &leaf_start);
-  if (li >= leaves.size()) return Status::OutOfRange("list index");
-  Chunk chunk;
-  s = ReadNode(leaves[li].cid, &chunk);
-  if (!s.ok()) return s;
-  std::vector<ElementView> elems;
-  s = DecodeLeafElements(chunk.type(), chunk.payload(), &elems);
-  if (!s.ok()) return s;
-  const size_t off = static_cast<size_t>(index - leaf_start);
-  if (off >= elems.size()) return Status::Corruption("count mismatch");
-  return elems[off].value.ToBytes();
+  Chunk node;
+  FB_RETURN_NOT_OK(ReadNode(root_, &node));
+  std::vector<EntryView> entries;
+  while (IsIndexType(node.type())) {
+    FB_RETURN_NOT_OK(DecodeIndexEntryViews(node.payload(), &entries));
+    if (entries.empty()) return Status::Corruption("empty index node");
+    uint64_t skipped = 0;
+    const Hash child = entries[ChildForPos(entries, index, &skipped)].cid;
+    index -= skipped;
+    FB_RETURN_NOT_OK(ReadNode(child, &node));
+  }
+  // Past the end, the descent ends in the last leaf, beyond its elements.
+  std::vector<uint32_t> bounds;
+  FB_RETURN_NOT_OK(LeafElementBounds(node.type(), node.payload(), &bounds));
+  if (index + 1 >= bounds.size()) return Status::OutOfRange("list index");
+  const size_t at = static_cast<size_t>(index);
+  return DecodeElement(node.type(),
+                       node.payload().subslice(bounds[at],
+                                               bounds[at + 1] - bounds[at]))
+      .value.ToBytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -350,234 +332,647 @@ Result<PosTree::Iterator> PosTree::Begin() const {
 // ---------------------------------------------------------------------------
 // Mutations
 // ---------------------------------------------------------------------------
+//
+// Every mutation runs through one TreeEditor. The edit becomes patches
+// over the old element positions of the leaf level; the editor descends
+// to the leaves they touch (one GetBatch per level) and re-chunks level by
+// level, only around the changes:
+//
+//  * Leaves. A run of new leaves starts at the old boundary in front of a
+//    patch, where the old stream's hasher was reset too, and feeds the old
+//    elements straight from the old payloads. It ends at the first old
+//    leaf end where the new stream cuts as well: from an aligned boundary
+//    on, both streams chunk the same bytes the same way. An old leaf holds
+//    no boundary before its last element, so once the new hasher has seen
+//    the same last window of bytes as the old one did (the buzhash depends
+//    on nothing else), those elements are appended unhashed and only the
+//    last one is fed.
+//  * Index levels. P' reads one child cid, so a level re-synchronizes at
+//    the first old node end after its last change where the new level cuts
+//    too; only a max_index_entries cut can push that further right.
+//  * Root. The top level's entries are chunked from scratch, which adds
+//    levels when they no longer fit one node; a single remaining entry is
+//    collapsed to the lowest level with one node.
+//
+// Every boundary therefore lands where BuildFromElements/BuildFromBytes
+// puts it, and the new root equals the root built from the new content.
 
-Status PosTree::RebuildFromLeaves(std::vector<Entry> leaves) {
-  // Drop placeholder entries for empty leaves that can appear when the
-  // tree was previously empty.
-  std::vector<Entry> filtered;
-  filtered.reserve(leaves.size());
-  for (Entry& e : leaves) {
-    if (e.count > 0) filtered.push_back(std::move(e));
+namespace {
+
+constexpr uint64_t kToEnd = ~uint64_t{0};
+constexpr size_t kUnknownDepth = ~size_t{0};
+
+// A node of the old tree read during a mutation, addressed by its depth
+// (0 = root) and the element offset of its first element.
+struct OldNode {
+  Chunk chunk;
+  uint64_t start = 0;
+  uint64_t count = 0;
+  std::vector<EntryView> entries;  // index node: views into `chunk`
+  std::vector<uint32_t> bounds;    // element leaf, filled by EnsureBounds
+  uint64_t end() const { return start + count; }
+};
+
+// New elements replacing the old elements [from, to) of the leaf level.
+struct Patch {
+  uint64_t from = 0;
+  uint64_t to = 0;
+  Bytes bytes;                   // encoded elements, back to back
+  std::vector<uint32_t> bounds;  // element offsets in `bytes` (not Blob)
+};
+
+// New nodes replacing the old nodes that cover elements [from, to) at one
+// depth.
+struct Replacement {
+  uint64_t from = 0;
+  uint64_t to = 0;
+  std::vector<Entry> entries;
+};
+
+// An upsert of `key`, or its removal when `erase` is set.
+struct KeyEdit {
+  Slice key;
+  Slice value;
+  bool erase = false;
+};
+
+class TreeEditor {
+ public:
+  TreeEditor(ChunkStore* store, const TreeConfig& cfg, ChunkType leaf_type,
+             const Hash& root)
+      : store_(store),
+        cfg_(cfg),
+        leaf_type_(leaf_type),
+        root_(root),
+        writer_(store) {}
+
+  // Reads the root; runs before anything else.
+  Status Open();
+  uint64_t total() const { return total_; }
+
+  // Patches for `edits` (sorted by key, keys unique). An edit that
+  // changes nothing yields no patch; `*missing` counts erased keys that
+  // were absent.
+  Status PatchKeys(const std::vector<KeyEdit>& edits, std::vector<Patch>* out,
+                   size_t* missing);
+
+  // Reads the leaves holding `positions` (sorted).
+  Status Prefetch(const std::vector<uint64_t>& positions);
+
+  // Applies `patches` (sorted by position, disjoint) and returns the new
+  // root. Runs after PatchKeys or Prefetch.
+  Result<Hash> Apply(const std::vector<Patch>& patches);
+
+ private:
+  // Reads each level's missing nodes with one GetBatch. `pick(node, t,
+  // &skipped)` chooses target t's child entry in `node`.
+  template <typename Pick>
+  Status Descend(size_t n, const Pick& pick, std::vector<OldNode*>* leaves);
+  // The node at `depth` holding element `pos` (the last one for pos ==
+  // total), read on a miss.
+  Status Locate(size_t depth, uint64_t pos, OldNode** out);
+  Result<OldNode*> Adopt(size_t depth, uint64_t start, uint64_t count,
+                         Chunk chunk);
+  OldNode* Cached(size_t depth, uint64_t start);
+  Status EnsureBounds(OldNode* leaf);
+  ElementView ElementOf(const OldNode& leaf, size_t i) const;
+  // True when `pos` is known, from the nodes read so far, to be an old
+  // node boundary at `depth`. A false negative only costs re-chunking.
+  bool KnownBoundary(size_t depth, uint64_t pos) const;
+
+  Status ChunkLeaves(const std::vector<Patch>& patches,
+                     std::vector<Replacement>* out);
+  Status ChunkIndex(size_t depth, const std::vector<Replacement>& below,
+                    std::vector<Replacement>* out);
+  Result<Hash> ChunkRoot(const std::vector<Replacement>& below);
+
+  ChunkStore* store_;
+  TreeConfig cfg_;
+  ChunkType leaf_type_;
+  Hash root_;
+  BatchedChunkWriter writer_;
+  uint64_t total_ = 0;
+  size_t leaf_depth_ = kUnknownDepth;
+  // Per depth, the nodes read so far keyed by start. A deque keeps each
+  // map (and so every OldNode) in place while deeper levels are added.
+  std::deque<std::map<uint64_t, OldNode>> levels_;
+};
+
+Status TreeEditor::Open() {
+  Chunk chunk;
+  FB_RETURN_NOT_OK(store_->Get(root_, &chunk));
+  if (IsLeafType(chunk.type())) leaf_depth_ = 0;
+  FB_ASSIGN_OR_RETURN(OldNode * root, Adopt(0, 0, 0, std::move(chunk)));
+  if (leaf_type_ == ChunkType::kBlob && leaf_depth_ == 0) {
+    root->count = root->chunk.payload_size();
+  } else if (leaf_depth_ == 0) {
+    FB_RETURN_NOT_OK(
+        LeafElementBounds(leaf_type_, root->chunk.payload(), &root->bounds));
+    root->count = root->bounds.size() - 1;
+  } else {
+    for (const EntryView& e : root->entries) root->count += e.count;
   }
-  FB_ASSIGN_OR_RETURN(
-      root_, BuildIndexLevels(store_, cfg_, leaf_type_, std::move(filtered)));
+  total_ = root->count;
   return Status::OK();
 }
+
+Result<OldNode*> TreeEditor::Adopt(size_t depth, uint64_t start,
+                                   uint64_t count, Chunk chunk) {
+  const bool leaf = IsLeafType(chunk.type());
+  if (chunk.type() != (leaf ? leaf_type_ : IndexTypeFor(leaf_type_))) {
+    return Status::Corruption("node of the wrong type in tree");
+  }
+  if (leaf_depth_ != kUnknownDepth && (depth == leaf_depth_) != leaf) {
+    return Status::Corruption("tree levels are uneven");
+  }
+  while (levels_.size() <= depth) levels_.emplace_back();
+  OldNode& node = levels_[depth][start];
+  node.chunk = std::move(chunk);
+  node.start = start;
+  node.count = count;
+  if (!leaf) {
+    FB_RETURN_NOT_OK(
+        DecodeIndexEntryViews(node.chunk.payload(), &node.entries));
+    if (node.entries.empty()) return Status::Corruption("empty index node");
+  }
+  return &node;
+}
+
+OldNode* TreeEditor::Cached(size_t depth, uint64_t start) {
+  if (depth >= levels_.size()) return nullptr;
+  auto it = levels_[depth].find(start);
+  return it == levels_[depth].end() ? nullptr : &it->second;
+}
+
+Status TreeEditor::EnsureBounds(OldNode* leaf) {
+  if (leaf_type_ == ChunkType::kBlob || !leaf->bounds.empty()) {
+    return Status::OK();
+  }
+  leaf->bounds.reserve(leaf->count + 1);
+  FB_RETURN_NOT_OK(
+      LeafElementBounds(leaf_type_, leaf->chunk.payload(), &leaf->bounds));
+  if (leaf->bounds.size() - 1 != leaf->count) {
+    return Status::Corruption("leaf element count mismatch");
+  }
+  return Status::OK();
+}
+
+ElementView TreeEditor::ElementOf(const OldNode& leaf, size_t i) const {
+  return DecodeElement(
+      leaf_type_, leaf.chunk.payload().subslice(
+                      leaf.bounds[i], leaf.bounds[i + 1] - leaf.bounds[i]));
+}
+
+template <typename Pick>
+Status TreeEditor::Descend(size_t n, const Pick& pick,
+                           std::vector<OldNode*>* leaves) {
+  std::vector<OldNode*> cur(n, &levels_[0].begin()->second);
+  size_t depth = 0;
+  while (n > 0 && !IsLeafType(cur[0]->chunk.type())) {
+    std::vector<uint64_t> starts(n);
+    std::vector<Hash> cids;
+    std::vector<std::pair<uint64_t, uint64_t>> wanted;  // (start, count)
+    for (size_t t = 0; t < n; ++t) {
+      uint64_t skipped = 0;
+      const EntryView& e = cur[t]->entries[pick(*cur[t], t, &skipped)];
+      starts[t] = cur[t]->start + skipped;
+      // Targets are sorted, so two that share a child are adjacent.
+      if (Cached(depth + 1, starts[t]) == nullptr &&
+          (wanted.empty() || wanted.back().first != starts[t])) {
+        cids.push_back(e.cid);
+        wanted.emplace_back(starts[t], e.count);
+      }
+    }
+    std::vector<Chunk> chunks;
+    FB_RETURN_NOT_OK(store_->GetBatch(cids, &chunks));
+    if (leaf_depth_ == kUnknownDepth && !chunks.empty() &&
+        IsLeafType(chunks[0].type())) {
+      leaf_depth_ = depth + 1;
+    }
+    for (size_t k = 0; k < wanted.size(); ++k) {
+      FB_ASSIGN_OR_RETURN(OldNode * node, Adopt(depth + 1, wanted[k].first,
+                                                wanted[k].second,
+                                                std::move(chunks[k])));
+      (void)node;
+    }
+    ++depth;
+    for (size_t t = 0; t < n; ++t) {
+      cur[t] = Cached(depth, starts[t]);
+      if (IsLeafType(cur[t]->chunk.type()) !=
+          IsLeafType(cur[0]->chunk.type())) {
+        return Status::Corruption("tree levels are uneven");
+      }
+    }
+  }
+  if (leaves != nullptr) *leaves = std::move(cur);
+  return Status::OK();
+}
+
+Status TreeEditor::Locate(size_t depth, uint64_t pos, OldNode** out) {
+  OldNode* node = &levels_[0].begin()->second;
+  for (size_t d = 0; d < depth; ++d) {
+    if (node->entries.empty()) {
+      return Status::Corruption("tree levels are uneven");
+    }
+    uint64_t skipped = 0;
+    const EntryView& e =
+        node->entries[ChildForPos(node->entries, pos - node->start, &skipped)];
+    const uint64_t start = node->start + skipped;
+    OldNode* child = Cached(d + 1, start);
+    if (child == nullptr) {
+      Chunk chunk;
+      FB_RETURN_NOT_OK(store_->Get(e.cid, &chunk));
+      FB_ASSIGN_OR_RETURN(child,
+                          Adopt(d + 1, start, e.count, std::move(chunk)));
+    }
+    node = child;
+  }
+  *out = node;
+  return Status::OK();
+}
+
+bool TreeEditor::KnownBoundary(size_t depth, uint64_t pos) const {
+  if (pos == 0 || pos == total_) return true;
+  const auto& level = levels_[depth];
+  auto it = level.upper_bound(pos);
+  if (it == level.begin()) return false;
+  --it;
+  return it->first == pos || it->second.end() == pos;
+}
+
+Status TreeEditor::PatchKeys(const std::vector<KeyEdit>& edits,
+                             std::vector<Patch>* out, size_t* missing) {
+  std::vector<OldNode*> leaves;
+  FB_RETURN_NOT_OK(Descend(
+      edits.size(),
+      [&](const OldNode& node, size_t t, uint64_t* skipped) {
+        return ChildForKey(node.entries, edits[t].key, skipped);
+      },
+      &leaves));
+  for (size_t t = 0; t < edits.size(); ++t) {
+    const KeyEdit& edit = edits[t];
+    OldNode* leaf = leaves[t];
+    FB_RETURN_NOT_OK(EnsureBounds(leaf));
+    // First element whose key is not below edit.key.
+    size_t lo = 0;
+    size_t hi = leaf->bounds.size() - 1;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (ElementOf(*leaf, mid).key < edit.key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    const bool present =
+        lo + 1 < leaf->bounds.size() && ElementOf(*leaf, lo).key == edit.key;
+    Patch patch;
+    patch.from = leaf->start + lo;
+    patch.to = patch.from + (present ? 1 : 0);
+    if (edit.erase) {
+      if (!present) {
+        ++*missing;
+        continue;
+      }
+    } else {
+      if (present && (leaf_type_ == ChunkType::kSet ||
+                      ElementOf(*leaf, lo).value == edit.value)) {
+        continue;  // already holds: no new version
+      }
+      EncodeElement(leaf_type_, edit.key, edit.value, &patch.bytes);
+      patch.bounds = {0, static_cast<uint32_t>(patch.bytes.size())};
+    }
+    out->push_back(std::move(patch));
+  }
+  return Status::OK();
+}
+
+Status TreeEditor::Prefetch(const std::vector<uint64_t>& positions) {
+  return Descend(
+      positions.size(),
+      [&](const OldNode& node, size_t t, uint64_t* skipped) {
+        return ChildForPos(node.entries, positions[t] - node.start, skipped);
+      },
+      nullptr);
+}
+
+Result<Hash> TreeEditor::Apply(const std::vector<Patch>& patches) {
+  if (patches.empty()) return root_;
+  std::vector<Replacement> reps;
+  FB_RETURN_NOT_OK(ChunkLeaves(patches, &reps));
+  for (size_t depth = leaf_depth_; depth-- > 1;) {
+    std::vector<Replacement> up;
+    FB_RETURN_NOT_OK(ChunkIndex(depth, reps, &up));
+    reps = std::move(up);
+  }
+  FB_ASSIGN_OR_RETURN(Hash root, ChunkRoot(reps));
+  FB_RETURN_NOT_OK(writer_.Flush());
+  return root;
+}
+
+Status TreeEditor::ChunkLeaves(const std::vector<Patch>& patches,
+                               std::vector<Replacement>* out) {
+  LeafChunker chunker(&writer_, leaf_type_, cfg_);
+  const bool blob = leaf_type_ == ChunkType::kBlob;
+  bool open = false;
+  uint64_t run_start = 0;
+  uint64_t cursor = 0;    // next old element to feed
+  uint64_t diverged = 0;  // where the new stream last left the old one
+
+  auto close = [&](uint64_t end) {
+    out->push_back(Replacement{run_start, end, std::move(chunker.entries())});
+    chunker.entries().clear();
+    open = false;
+  };
+  auto offset = [&](const OldNode& leaf, size_t i) -> size_t {
+    return blob ? i : leaf.bounds[i];
+  };
+  auto feed = [&](const OldNode& leaf, size_t a, size_t b) -> Status {
+    if (a >= b) return Status::OK();
+    if (blob) return chunker.AppendRaw(leaf.chunk.payload().subslice(a, b - a));
+    return chunker.AppendRun(ElementRun{leaf.chunk.payload().data(),
+                                        leaf.bounds.data() + a, b - a});
+  };
+  // Feeds old elements [a, b) of `leaf`.
+  auto feed_leaf = [&](const OldNode& leaf, size_t a, size_t b) -> Status {
+    if (a >= b) return Status::OK();
+    size_t i = a;
+    if (!(chunker.AtBoundary() && a == 0)) {
+      // The old stream restarted at the leaf start. The new one hashes
+      // like it once a full window of old bytes has passed since both the
+      // divergence and the new stream's own last cut.
+      const size_t div =
+          static_cast<size_t>(std::max(diverged, leaf.start) - leaf.start);
+      const size_t in_step = offset(leaf, div) + cfg_.window;
+      for (;;) {
+        size_t j = blob ? std::max(i, in_step)
+                        : static_cast<size_t>(
+                              std::lower_bound(leaf.bounds.begin() + i,
+                                               leaf.bounds.end(), in_step) -
+                              leaf.bounds.begin());
+        j = std::min(j, b);
+        FB_RETURN_NOT_OK(feed(leaf, i, j));
+        i = j;
+        if (i >= b) return Status::OK();
+        if (chunker.pending_bytes() >= cfg_.window) break;
+        // A new cut landed within the last window: walk one more element.
+        FB_RETURN_NOT_OK(feed(leaf, i, i + 1));
+        ++i;
+      }
+    }
+    // In step with the old stream, which cut nowhere before the leaf's
+    // last element.
+    const size_t quiet_end = std::min<size_t>(b, leaf.count - 1);
+    if (i < quiet_end) {
+      const size_t len = offset(leaf, quiet_end) - offset(leaf, i);
+      if (chunker.pending_bytes() + len < cfg_.max_leaf_bytes()) {
+        chunker.AppendQuiet(
+            leaf.chunk.payload().subslice(offset(leaf, i), len), quiet_end - i,
+            blob ? Slice() : ElementOf(leaf, quiet_end - 1).key);
+        i = quiet_end;
+      }
+    }
+    return feed(leaf, i, b);
+  };
+  // Feeds old elements from `cursor` up to `target`; the run ends at the
+  // first old leaf end where the new stream cuts too.
+  auto feed_old = [&](uint64_t target) -> Status {
+    while (open && cursor < target && cursor < total_) {
+      OldNode* leaf = nullptr;
+      FB_RETURN_NOT_OK(Locate(leaf_depth_, cursor, &leaf));
+      FB_RETURN_NOT_OK(EnsureBounds(leaf));
+      const uint64_t stop = std::min(target, leaf->end());
+      FB_RETURN_NOT_OK(
+          feed_leaf(*leaf, static_cast<size_t>(cursor - leaf->start),
+                    static_cast<size_t>(stop - leaf->start)));
+      cursor = stop;
+      if (cursor == leaf->end() && chunker.AtBoundary() && cursor < total_) {
+        close(cursor);
+      }
+    }
+    if (open && target == kToEnd) {
+      FB_RETURN_NOT_OK(chunker.Finish());
+      close(total_);
+    }
+    return Status::OK();
+  };
+
+  for (const Patch& p : patches) {
+    if (open) FB_RETURN_NOT_OK(feed_old(p.from));
+    if (!open) {
+      OldNode* leaf = nullptr;
+      FB_RETURN_NOT_OK(Locate(leaf_depth_, p.from, &leaf));
+      open = true;
+      run_start = cursor = diverged = leaf->start;
+      FB_RETURN_NOT_OK(feed_old(p.from));
+    }
+    if (blob) {
+      FB_RETURN_NOT_OK(chunker.AppendRaw(Slice(p.bytes)));
+    } else if (!p.bounds.empty()) {
+      FB_RETURN_NOT_OK(chunker.AppendRun(
+          ElementRun{p.bytes.data(), p.bounds.data(), p.bounds.size() - 1}));
+    }
+    cursor = diverged = p.to;
+    if (chunker.AtBoundary() && cursor < total_ &&
+        KnownBoundary(leaf_depth_, cursor)) {
+      close(cursor);
+    }
+  }
+  if (open) FB_RETURN_NOT_OK(feed_old(kToEnd));
+  return Status::OK();
+}
+
+Status TreeEditor::ChunkIndex(size_t depth,
+                              const std::vector<Replacement>& below,
+                              std::vector<Replacement>* out) {
+  IndexChunker chunker(&writer_, IndexTypeFor(leaf_type_), cfg_);
+  bool open = false;
+  uint64_t run_start = 0;
+  uint64_t cursor = 0;  // element offset of the next old entry to feed
+
+  auto close = [&](uint64_t end) {
+    out->push_back(Replacement{run_start, end, std::move(chunker.entries())});
+    chunker.entries().clear();
+    open = false;
+  };
+  auto feed_old = [&](uint64_t target) -> Status {
+    while (open && cursor < target && cursor < total_) {
+      OldNode* node = nullptr;
+      FB_RETURN_NOT_OK(Locate(depth, cursor, &node));
+      uint64_t pos = node->start;
+      size_t i = 0;
+      while (pos < cursor && i < node->entries.size()) {
+        pos += node->entries[i++].count;
+      }
+      if (pos != cursor) return Status::Corruption("edit off a child boundary");
+      const uint64_t stop = std::min(target, node->end());
+      while (pos < stop && i < node->entries.size()) {
+        const EntryView& e = node->entries[i++];
+        FB_RETURN_NOT_OK(chunker.Append(e.cid, e.count, e.key));
+        pos += e.count;
+      }
+      cursor = pos;
+      if (cursor == node->end() && chunker.AtBoundary() && cursor < total_) {
+        close(cursor);
+      }
+    }
+    if (open && target == kToEnd) {
+      FB_RETURN_NOT_OK(chunker.Finish());
+      close(total_);
+    }
+    return Status::OK();
+  };
+
+  for (const Replacement& r : below) {
+    if (open) FB_RETURN_NOT_OK(feed_old(r.from));
+    if (!open) {
+      OldNode* node = nullptr;
+      FB_RETURN_NOT_OK(Locate(depth, r.from, &node));
+      open = true;
+      run_start = cursor = node->start;
+      FB_RETURN_NOT_OK(feed_old(r.from));
+    }
+    for (const Entry& e : r.entries) {
+      FB_RETURN_NOT_OK(chunker.Append(e.cid, e.count, Slice(e.key)));
+    }
+    cursor = r.to;
+    if (chunker.AtBoundary() && cursor < total_ &&
+        KnownBoundary(depth, cursor)) {
+      close(cursor);
+    }
+  }
+  if (open) FB_RETURN_NOT_OK(feed_old(kToEnd));
+  return Status::OK();
+}
+
+Result<Hash> TreeEditor::ChunkRoot(const std::vector<Replacement>& below) {
+  // The old entries one level below the root, or the root leaf itself.
+  OldNode& root = levels_[0].begin()->second;
+  std::vector<EntryView> old = root.entries;
+  if (leaf_depth_ == 0) {
+    old.clear();
+    if (total_ > 0) {
+      const Slice key = IsSortedType(leaf_type_)
+                            ? ElementOf(root, root.bounds.size() - 2).key
+                            : Slice();
+      old.push_back(EntryView{root_, total_, key});
+    }
+  }
+  std::vector<Entry> level;
+  uint64_t pos = 0;
+  size_t i = 0;
+  size_t r = 0;
+  while (i < old.size() || r < below.size()) {
+    if (r < below.size() && below[r].from == pos) {
+      level.insert(level.end(), below[r].entries.begin(),
+                   below[r].entries.end());
+      while (pos < below[r].to && i < old.size()) pos += old[i++].count;
+      if (pos != below[r].to) return Status::Corruption("edit off the root");
+      ++r;
+      continue;
+    }
+    if (i >= old.size()) return Status::Corruption("edit past the root");
+    level.push_back(Entry{old[i].cid, old[i].count, old[i].key.ToBytes()});
+    pos += old[i++].count;
+  }
+
+  if (level.size() != 1) {
+    return BuildIndexLevels(&writer_, cfg_, leaf_type_, std::move(level));
+  }
+  // One node left. A build from scratch stops at the lowest level with a
+  // single node, so index nodes with one entry above it go away.
+  Hash top = level[0].cid;
+  if (leaf_depth_ <= 1) return top;
+  FB_RETURN_NOT_OK(writer_.Flush());
+  for (;;) {
+    Chunk chunk;
+    FB_RETURN_NOT_OK(store_->Get(top, &chunk));
+    if (!IsIndexType(chunk.type())) return top;
+    std::vector<EntryView> entries;
+    FB_RETURN_NOT_OK(DecodeIndexEntryViews(chunk.payload(), &entries));
+    if (entries.size() != 1) return top;
+    top = entries[0].cid;
+  }
+}
+
+// Splices `patch` over the old elements [pos, pos + n_delete).
+Result<Hash> Splice(ChunkStore* store, const TreeConfig& cfg,
+                    ChunkType leaf_type, const Hash& root, uint64_t pos,
+                    uint64_t n_delete, Patch patch) {
+  TreeEditor editor(store, cfg, leaf_type, root);
+  FB_RETURN_NOT_OK(editor.Open());
+  if (pos > editor.total()) return Status::OutOfRange("splice position");
+  n_delete = std::min<uint64_t>(n_delete, editor.total() - pos);
+  if (n_delete == 0 && patch.bytes.empty()) return root;
+  patch.from = pos;
+  patch.to = pos + n_delete;
+  std::vector<uint64_t> targets{pos};
+  if (patch.to > pos && patch.to < editor.total()) targets.push_back(patch.to);
+  FB_RETURN_NOT_OK(editor.Prefetch(targets));
+  std::vector<Patch> patches;
+  patches.push_back(std::move(patch));
+  return editor.Apply(patches);
+}
+
+// Applies keyed edits (sorted by key, keys unique).
+Result<Hash> EditKeys(ChunkStore* store, const TreeConfig& cfg,
+                      ChunkType leaf_type, const Hash& root,
+                      const std::vector<KeyEdit>& edits, size_t* missing) {
+  TreeEditor editor(store, cfg, leaf_type, root);
+  FB_RETURN_NOT_OK(editor.Open());
+  std::vector<Patch> patches;
+  FB_RETURN_NOT_OK(editor.PatchKeys(edits, &patches, missing));
+  return editor.Apply(patches);
+}
+
+}  // namespace
 
 Status PosTree::SpliceElements(uint64_t pos, uint64_t n_delete,
                                const std::vector<Element>& insert) {
   if (leaf_type_ == ChunkType::kBlob) {
     return Status::InvalidArgument("use SpliceBytes for Blob");
   }
-  std::vector<Entry> leaves;
-  FB_RETURN_NOT_OK(LoadLeafEntries(&leaves));
-  uint64_t total = 0;
-  for (const Entry& e : leaves) total += e.count;
-  if (pos > total) return Status::OutOfRange("splice position");
-  n_delete = std::min<uint64_t>(n_delete, total - pos);
-
-  // First leaf whose content is affected. A pure append re-chunks the
-  // last leaf, because its final boundary was an end-of-stream cut, not
-  // necessarily a pattern.
-  uint64_t start_base = 0;
-  size_t start_leaf = LeafIndexForPos(leaves, pos, &start_base);
-  if (start_leaf == leaves.size() && !leaves.empty()) {
-    --start_leaf;
-    start_base -= leaves[start_leaf].count;
+  Patch patch;
+  if (!insert.empty()) patch.bounds.push_back(0);
+  for (const Element& e : insert) {
+    EncodeElement(leaf_type_, Slice(e.key), Slice(e.value), &patch.bytes);
+    patch.bounds.push_back(static_cast<uint32_t>(patch.bytes.size()));
   }
-
-  LeafChunker chunker(store_, leaf_type_, cfg_);
-  Bytes encoded;
-  auto feed_element = [&](Slice key, Slice value) -> Status {
-    encoded.clear();
-    EncodeElement(leaf_type_, key, value, &encoded);
-    return chunker.AppendElement(Slice(encoded), key, 1);
-  };
-
-  std::vector<Entry> out(leaves.begin(),
-                         leaves.begin() + static_cast<long>(start_leaf));
-
-  uint64_t global = start_base;  // element index of next old element
-  uint64_t del_left = n_delete;
-  bool inserted = false;
-  bool resynced = false;
-
-  for (size_t li = start_leaf; li < leaves.size(); ++li) {
-    // Resynchronization: once the edit is fully applied and the chunker
-    // sits exactly on a chunk boundary at an old leaf start, every
-    // remaining old leaf is reused verbatim.
-    if (inserted && del_left == 0 && global >= pos && chunker.AtBoundary() &&
-        !chunker.entries().empty()) {
-      out.insert(out.end(), leaves.begin() + static_cast<long>(li),
-                 leaves.end());
-      resynced = true;
-      break;
-    }
-
-    Chunk chunk;
-    FB_RETURN_NOT_OK(ReadNode(leaves[li].cid, &chunk));
-    std::vector<ElementView> elems;
-    FB_RETURN_NOT_OK(
-        DecodeLeafElements(chunk.type(), chunk.payload(), &elems));
-    for (const ElementView& e : elems) {
-      if (!inserted && global == pos) {
-        for (const Element& ins : insert) {
-          FB_RETURN_NOT_OK(feed_element(Slice(ins.key), Slice(ins.value)));
-        }
-        inserted = true;
-      }
-      if (global >= pos && del_left > 0) {
-        --del_left;  // element deleted: skip it
-      } else {
-        FB_RETURN_NOT_OK(feed_element(e.key, e.value));
-      }
-      ++global;
-    }
-  }
-
-  if (!resynced) {
-    if (!inserted) {
-      // Append at the very end (pos == total), or empty tree.
-      for (const Element& ins : insert) {
-        FB_RETURN_NOT_OK(feed_element(Slice(ins.key), Slice(ins.value)));
-      }
-    }
-    FB_RETURN_NOT_OK(chunker.Finish());
-    out.insert(out.end(), chunker.entries().begin(), chunker.entries().end());
-  } else {
-    // Chunks produced before the resync point. The chunker sits on a
-    // boundary here, so Finish() only drains its batched writes.
-    FB_RETURN_NOT_OK(chunker.Finish());
-    out.insert(out.begin() + static_cast<long>(start_leaf),
-               chunker.entries().begin(), chunker.entries().end());
-  }
-
-  return RebuildFromLeaves(std::move(out));
+  FB_ASSIGN_OR_RETURN(root_, Splice(store_, cfg_, leaf_type_, root_, pos,
+                                    n_delete, std::move(patch)));
+  return Status::OK();
 }
 
 Status PosTree::SpliceBytes(uint64_t pos, uint64_t n_delete, Slice insert) {
   if (leaf_type_ != ChunkType::kBlob) {
     return Status::InvalidArgument("SpliceBytes requires Blob");
   }
-  std::vector<Entry> leaves;
-  FB_RETURN_NOT_OK(LoadLeafEntries(&leaves));
-  uint64_t total = 0;
-  for (const Entry& e : leaves) total += e.count;
-  if (pos > total) return Status::OutOfRange("splice position");
-  n_delete = std::min<uint64_t>(n_delete, total - pos);
-
-  uint64_t start_base = 0;
-  size_t start_leaf = LeafIndexForPos(leaves, pos, &start_base);
-  if (start_leaf == leaves.size() && !leaves.empty()) {
-    --start_leaf;
-    start_base -= leaves[start_leaf].count;
-  }
-
-  LeafChunker chunker(store_, ChunkType::kBlob, cfg_);
-  std::vector<Entry> out(leaves.begin(),
-                         leaves.begin() + static_cast<long>(start_leaf));
-
-  uint64_t global = start_base;
-  uint64_t del_left = n_delete;
-  bool inserted = false;
-  bool resynced = false;
-
-  for (size_t li = start_leaf; li < leaves.size(); ++li) {
-    if (inserted && del_left == 0 && global >= pos && chunker.AtBoundary() &&
-        !chunker.entries().empty()) {
-      out.insert(out.end(), leaves.begin() + static_cast<long>(li),
-                 leaves.end());
-      resynced = true;
-      break;
-    }
-
-    Chunk chunk;
-    FB_RETURN_NOT_OK(ReadNode(leaves[li].cid, &chunk));
-    const Slice payload = chunk.payload();
-    uint64_t off = 0;
-    const uint64_t len = payload.size();
-    while (off < len) {
-      if (!inserted && global == pos) {
-        FB_RETURN_NOT_OK(chunker.AppendRaw(insert));
-        inserted = true;
-      }
-      if (global >= pos && del_left > 0) {
-        // Skip a run of deleted bytes within this leaf.
-        const uint64_t run = std::min<uint64_t>(del_left, len - off);
-        del_left -= run;
-        off += run;
-        global += run;
-        continue;
-      }
-      // Feed a run of kept bytes: up to the insertion point (if still
-      // ahead within this leaf) or to the leaf end.
-      uint64_t run = len - off;
-      if (!inserted && pos > global) {
-        run = std::min<uint64_t>(run, pos - global);
-      }
-      FB_RETURN_NOT_OK(chunker.AppendRaw(payload.subslice(off, run)));
-      off += run;
-      global += run;
-    }
-  }
-
-  if (!resynced) {
-    if (!inserted) {
-      FB_RETURN_NOT_OK(chunker.AppendRaw(insert));
-    }
-    FB_RETURN_NOT_OK(chunker.Finish());
-    out.insert(out.end(), chunker.entries().begin(), chunker.entries().end());
-  } else {
-    // Drain batched writes produced before the resync point.
-    FB_RETURN_NOT_OK(chunker.Finish());
-    out.insert(out.begin() + static_cast<long>(start_leaf),
-               chunker.entries().begin(), chunker.entries().end());
-  }
-
-  return RebuildFromLeaves(std::move(out));
+  Patch patch;
+  patch.bytes = insert.ToBytes();
+  FB_ASSIGN_OR_RETURN(root_, Splice(store_, cfg_, leaf_type_, root_, pos,
+                                    n_delete, std::move(patch)));
+  return Status::OK();
 }
 
 Status PosTree::InsertOrAssign(Slice key, Slice value) {
   if (!IsSortedType(leaf_type_)) {
     return Status::InvalidArgument("InsertOrAssign requires a sorted type");
   }
-  // Locate the element position of `key` via the leaf entry list.
-  std::vector<Entry> leaves;
-  FB_RETURN_NOT_OK(LoadLeafEntries(&leaves));
-  uint64_t cum = 0;
-  size_t li = 0;
-  for (; li < leaves.size(); ++li) {
-    if (leaves[li].count > 0 && Slice(leaves[li].key) >= key) break;
-    cum += leaves[li].count;
-  }
+  size_t missing = 0;
+  FB_ASSIGN_OR_RETURN(root_, EditKeys(store_, cfg_, leaf_type_, root_,
+                                      {KeyEdit{key, value, false}}, &missing));
+  return Status::OK();
+}
 
-  uint64_t pos = cum;
-  uint64_t n_delete = 0;
-  if (li < leaves.size()) {
-    Chunk chunk;
-    FB_RETURN_NOT_OK(ReadNode(leaves[li].cid, &chunk));
-    std::vector<ElementView> elems;
-    FB_RETURN_NOT_OK(
-        DecodeLeafElements(chunk.type(), chunk.payload(), &elems));
-    const auto it = std::lower_bound(
-        elems.begin(), elems.end(), key,
-        [](const ElementView& e, const Slice& k) { return e.key < k; });
-    pos = cum + static_cast<uint64_t>(it - elems.begin());
-    if (it != elems.end() && it->key == key) {
-      if (leaf_type_ == ChunkType::kMap && it->value == value) {
-        return Status::OK();  // identical: no new version needed
-      }
-      if (leaf_type_ == ChunkType::kSet) {
-        return Status::OK();  // set membership already holds
-      }
-      n_delete = 1;
-    }
+Status PosTree::Erase(Slice key) {
+  if (!IsSortedType(leaf_type_)) {
+    return Status::InvalidArgument("Erase requires a sorted type");
   }
-
-  std::vector<Element> ins(1);
-  ins[0].key = key.ToBytes();
-  ins[0].value = value.ToBytes();
-  return SpliceElements(pos, n_delete, ins);
+  size_t missing = 0;
+  FB_ASSIGN_OR_RETURN(root_, EditKeys(store_, cfg_, leaf_type_, root_,
+                                      {KeyEdit{key, Slice(), true}}, &missing));
+  if (missing > 0) return Status::NotFound("key not in tree");
+  return Status::OK();
 }
 
 Status PosTree::UpsertBatch(std::vector<Element> upserts) {
@@ -590,116 +985,20 @@ Status PosTree::UpsertBatch(std::vector<Element> upserts) {
                    [](const Element& a, const Element& b) {
                      return a.key < b.key;
                    });
-  {
-    std::vector<Element> dedup;
-    dedup.reserve(upserts.size());
-    for (auto& e : upserts) {
-      if (!dedup.empty() && dedup.back().key == e.key) {
-        dedup.back() = std::move(e);
-      } else {
-        dedup.push_back(std::move(e));
-      }
-    }
-    upserts = std::move(dedup);
-  }
-
-  std::vector<Entry> leaves;
-  FB_RETURN_NOT_OK(LoadLeafEntries(&leaves));
-
-  LeafChunker chunker(store_, leaf_type_, cfg_);
-  std::vector<Entry> out;
-  Bytes encoded;
-  auto feed = [&](Slice key, Slice value) -> Status {
-    encoded.clear();
-    EncodeElement(leaf_type_, key, value, &encoded);
-    return chunker.AppendElement(Slice(encoded), key, 1);
-  };
-  size_t drained = 0;  // chunker entries already moved to `out`
-  auto drain = [&]() {
-    auto& es = chunker.entries();
-    for (; drained < es.size(); ++drained) out.push_back(es[drained]);
-  };
-
-  size_t ui = 0;
-  for (size_t li = 0; li < leaves.size(); ++li) {
-    const bool is_last = li + 1 == leaves.size();
-    const Slice leaf_max(leaves[li].key);
-    const bool touched =
-        leaves[li].count > 0 && ui < upserts.size() &&
-        Slice(upserts[ui].key) <= leaf_max;
-    // Trailing upserts (keys beyond every existing key) merge into the
-    // last leaf.
-    const bool absorbs_tail = is_last && ui < upserts.size();
-
-    if (!touched && !absorbs_tail && chunker.AtBoundary()) {
-      drain();
-      out.push_back(leaves[li]);
-      continue;
-    }
-
-    Chunk chunk;
-    FB_RETURN_NOT_OK(ReadNode(leaves[li].cid, &chunk));
-    std::vector<ElementView> elems;
-    FB_RETURN_NOT_OK(
-        DecodeLeafElements(chunk.type(), chunk.payload(), &elems));
-    // Merge this leaf's elements with the upserts that sort into it.
-    size_t ei = 0;
-    while (ei < elems.size() || (ui < upserts.size() &&
-                                 (is_last ||
-                                  Slice(upserts[ui].key) <= leaf_max))) {
-      const bool take_upsert =
-          ui < upserts.size() &&
-          (is_last || Slice(upserts[ui].key) <= leaf_max) &&
-          (ei >= elems.size() || Slice(upserts[ui].key) <= elems[ei].key);
-      if (take_upsert) {
-        if (ei < elems.size() && Slice(upserts[ui].key) == elems[ei].key) {
-          ++ei;  // replaced
-        }
-        FB_RETURN_NOT_OK(
-            feed(Slice(upserts[ui].key), Slice(upserts[ui].value)));
-        ++ui;
-      } else {
-        FB_RETURN_NOT_OK(feed(elems[ei].key, elems[ei].value));
-        ++ei;
-      }
+  std::vector<KeyEdit> edits;
+  edits.reserve(upserts.size());
+  for (const Element& e : upserts) {
+    const KeyEdit edit{Slice(e.key), Slice(e.value), false};
+    if (!edits.empty() && edits.back().key == edit.key) {
+      edits.back() = edit;
+    } else {
+      edits.push_back(edit);
     }
   }
-  if (leaves.empty()) {
-    for (const Element& e : upserts) {
-      FB_RETURN_NOT_OK(feed(Slice(e.key), Slice(e.value)));
-    }
-  }
-  FB_RETURN_NOT_OK(chunker.Finish());
-  drain();
-  return RebuildFromLeaves(std::move(out));
-}
-
-Status PosTree::Erase(Slice key) {
-  if (!IsSortedType(leaf_type_)) {
-    return Status::InvalidArgument("Erase requires a sorted type");
-  }
-  std::vector<Entry> leaves;
-  FB_RETURN_NOT_OK(LoadLeafEntries(&leaves));
-  uint64_t cum = 0;
-  size_t li = 0;
-  for (; li < leaves.size(); ++li) {
-    if (leaves[li].count > 0 && Slice(leaves[li].key) >= key) break;
-    cum += leaves[li].count;
-  }
-  if (li >= leaves.size()) return Status::NotFound("key not in tree");
-
-  Chunk chunk;
-  FB_RETURN_NOT_OK(ReadNode(leaves[li].cid, &chunk));
-  std::vector<ElementView> elems;
-  FB_RETURN_NOT_OK(DecodeLeafElements(chunk.type(), chunk.payload(), &elems));
-  const auto it = std::lower_bound(
-      elems.begin(), elems.end(), key,
-      [](const ElementView& e, const Slice& k) { return e.key < k; });
-  if (it == elems.end() || it->key != key) {
-    return Status::NotFound("key not in tree");
-  }
-  const uint64_t pos = cum + static_cast<uint64_t>(it - elems.begin());
-  return SpliceElements(pos, 1, {});
+  size_t missing = 0;
+  FB_ASSIGN_OR_RETURN(root_, EditKeys(store_, cfg_, leaf_type_, root_, edits,
+                                      &missing));
+  return Status::OK();
 }
 
 }  // namespace fb

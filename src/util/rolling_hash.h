@@ -48,6 +48,13 @@ class RollingHash {
   // could never influence any future state.
   size_t FeedUntilPattern(const uint8_t* data, size_t n, int q, bool* hit);
 
+  // Absorbs `n` bytes without testing for the pattern, leaving the same
+  // state (and fed count) as `n` calls to Feed. The state depends only on
+  // the last `window` bytes, so at most that many are hashed: the
+  // chunker skips runs it knows hold no boundary for the price of one
+  // window.
+  void Absorb(const uint8_t* data, size_t n);
+
   uint64_t state() const { return state_; }
 
   // True iff the q low bits of the current state are zero AND at least a
@@ -71,7 +78,7 @@ class RollingHash {
     return (x << n) | (x >> (64 - n));
   }
 
-  uint64_t kInTable(uint8_t b) const { return byte_table_[b]; }
+  uint64_t kInTable(uint8_t b) const { return (*byte_table_)[b]; }
   // h(b) rotated `window` times: the contribution of a byte once it falls
   // out of the window.
   uint64_t kOutTable(uint8_t b) const { return out_table_[b]; }
@@ -82,7 +89,8 @@ class RollingHash {
   size_t fed_ = 0;
   size_t pos_ = 0;
   std::array<uint8_t, 256> ring_{};  // sized >= window_, asserted in ctor
-  std::array<uint64_t, 256> byte_table_;
+  // h(b): one table per process, shared by every instance.
+  const std::array<uint64_t, 256>* byte_table_;
   std::array<uint64_t, 256> out_table_;
 };
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "chunk/chunk_store.h"
 #include "pos_tree/diff.h"
@@ -938,6 +939,259 @@ TEST(MergeBytesTest, OverlappingRangesConflict) {
                            PosTree(&store, cfg, ChunkType::kBlob, *rr));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->clean());
+}
+
+// ---------------------------------------------------------------------------
+// Incremental mutations against a build from scratch
+// ---------------------------------------------------------------------------
+//
+// A mutation re-chunks only around its edits, yet history independence
+// says its root must equal BuildFrom* over the new content. These sweeps
+// run random scripts on all four types, grow every tree from empty past
+// three levels and shrink it back to empty, and check the root after
+// every step. Config 1 caps nodes at the expected size (size_alpha 1) and
+// config 2 uses a short window, so cap cuts and late re-synchronization
+// are common there.
+
+TreeConfig OracleConfig(int which) {
+  TreeConfig cfg = SmallChunks();
+  if (which == 1) cfg.size_alpha = 1;
+  if (which == 2) {
+    cfg.size_alpha = 2;
+    cfg.window = 8;
+    cfg.leaf_pattern_bits = 6;
+  }
+  return cfg;
+}
+
+class MutationOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  void SetUp() override {
+    cfg_ = OracleConfig(std::get<0>(GetParam()));
+    rng_ = Rng(9000 + 16 * std::get<0>(GetParam()) + std::get<1>(GetParam()));
+  }
+
+  size_t HeightOf(const PosTree& tree) {
+    auto h = tree.Height();
+    EXPECT_TRUE(h.ok());
+    return h.ok() ? *h : 0;
+  }
+  // Mostly short values, some longer than a whole leaf.
+  std::string Value() {
+    return rng_.String(rng_.Bernoulli(0.08) ? 130 + rng_.Uniform(250)
+                                            : rng_.Uniform(40));
+  }
+  void ExpectCanonical(const PosTree& tree, ChunkType type,
+                       const std::vector<Element>& content, int step) {
+    auto canonical = PosTree::BuildFromElements(&store_, cfg_, type, content);
+    ASSERT_TRUE(canonical.ok());
+    ASSERT_EQ(tree.root(), *canonical)
+        << "step " << step << ", " << content.size() << " elements";
+  }
+
+  // Keyed script shared by Map and Set.
+  void RunSortedScript(ChunkType type) {
+    auto empty = PosTree::EmptyRoot(&store_, type);
+    ASSERT_TRUE(empty.ok());
+    PosTree tree(&store_, cfg_, type, *empty);
+    std::map<std::string, std::string> model;
+    const bool is_map = type == ChunkType::kMap;
+    auto content = [&] {
+      std::vector<Element> out;
+      for (const auto& [k, v] : model) {
+        out.push_back(MakeElem(k, is_map ? v : ""));
+      }
+      return out;
+    };
+    auto any_key = [&] { return MakeKey(rng_.Uniform(60000)); };
+    auto erase = [&](const std::string& k) {
+      const Status s = tree.Erase(Slice(k));
+      ASSERT_EQ(s.ok(), model.erase(k) > 0) << s.ToString();
+      if (!s.ok()) {
+        ASSERT_TRUE(s.IsNotFound());
+      }
+    };
+
+    int step = 0;
+    while (HeightOf(tree) < 6) {
+      const uint64_t op = rng_.Uniform(10);
+      if (op < 6) {
+        std::vector<Element> batch;
+        const uint64_t n = 1 + rng_.Uniform(40);
+        for (uint64_t i = 0; i < n; ++i) {
+          std::string k = any_key();
+          if (!model.empty() && rng_.Bernoulli(0.2)) {
+            const long at = static_cast<long>(rng_.Uniform(model.size()));
+            k = std::next(model.begin(), at)->first;
+          }
+          // Now and then an identical overwrite, which must not move the root.
+          std::string v = model.count(k) > 0 && rng_.Bernoulli(0.2)
+                              ? model[k]
+                              : Value();
+          batch.push_back(MakeElem(k, is_map ? v : ""));
+        }
+        for (const Element& e : batch) {
+          model[BytesToString(e.key)] = BytesToString(e.value);
+        }
+        ASSERT_TRUE(tree.UpsertBatch(batch).ok());
+      } else if (op < 8) {
+        const std::string k = any_key();
+        const std::string v = is_map ? Value() : "";
+        ASSERT_TRUE(tree.InsertOrAssign(Slice(k), Slice(v)).ok());
+        model[k] = v;
+      } else {
+        ASSERT_NO_FATAL_FAILURE(erase(any_key()));
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectCanonical(tree, type, content(), ++step));
+    }
+    while (!model.empty()) {
+      const uint64_t n = 1 + rng_.Uniform(std::min<uint64_t>(30, model.size()));
+      for (uint64_t i = 0; i < n && !model.empty(); ++i) {
+        const std::string k =
+            rng_.Bernoulli(0.05)
+                ? any_key()
+                : std::next(model.begin(),
+                            static_cast<long>(rng_.Uniform(model.size())))
+                      ->first;
+        ASSERT_NO_FATAL_FAILURE(erase(k));
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectCanonical(tree, type, content(), ++step));
+    }
+    EXPECT_EQ(tree.root(), *empty);
+  }
+
+  MemChunkStore store_;
+  TreeConfig cfg_;
+  Rng rng_{0};
+};
+
+TEST_P(MutationOracleTest, MapGrowsPastThreeLevelsAndShrinksToEmpty) {
+  RunSortedScript(ChunkType::kMap);
+}
+
+TEST_P(MutationOracleTest, SetGrowsPastThreeLevelsAndShrinksToEmpty) {
+  RunSortedScript(ChunkType::kSet);
+}
+
+TEST_P(MutationOracleTest, ListGrowsPastThreeLevelsAndShrinksToEmpty) {
+  auto empty = PosTree::EmptyRoot(&store_, ChunkType::kList);
+  ASSERT_TRUE(empty.ok());
+  PosTree tree(&store_, cfg_, ChunkType::kList, *empty);
+  std::vector<std::string> model;
+  auto content = [&] {
+    std::vector<Element> out;
+    for (const std::string& v : model) out.push_back(MakeElem("", v));
+    return out;
+  };
+  int step = 0;
+  bool growing = true;
+  while (growing || !model.empty()) {
+    if (growing && HeightOf(tree) >= 6) growing = false;
+    const uint64_t pos = rng_.Uniform(model.size() + 1);
+    uint64_t del = rng_.Uniform(std::min<uint64_t>(60, model.size() - pos) + 1);
+    std::vector<Element> ins;
+    const uint64_t n_ins = rng_.Uniform(growing ? 80 : 20);
+    for (uint64_t i = 0; i < n_ins; ++i) ins.push_back(MakeElem("", Value()));
+    if (!growing) del = std::min<uint64_t>(model.size() - pos, del + n_ins + 5);
+    ASSERT_TRUE(tree.SpliceElements(pos, del, ins).ok());
+    const auto at = model.begin() + static_cast<long>(pos);
+    model.erase(at, at + static_cast<long>(del));
+    std::vector<std::string> added;
+    for (const Element& e : ins) added.push_back(BytesToString(e.value));
+    model.insert(model.begin() + static_cast<long>(pos), added.begin(),
+                 added.end());
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectCanonical(tree, ChunkType::kList, content(), ++step));
+  }
+  EXPECT_EQ(tree.root(), *empty);
+}
+
+TEST_P(MutationOracleTest, BlobGrowsPastThreeLevelsAndShrinksToEmpty) {
+  auto empty = PosTree::EmptyRoot(&store_, ChunkType::kBlob);
+  ASSERT_TRUE(empty.ok());
+  PosTree tree(&store_, cfg_, ChunkType::kBlob, *empty);
+  Bytes model;
+  int step = 0;
+  bool growing = true;
+  while (growing || !model.empty()) {
+    if (growing && HeightOf(tree) >= 6) growing = false;
+    const uint64_t pos = rng_.Uniform(model.size() + 1);
+    const uint64_t del =
+        growing ? rng_.Uniform(std::min<uint64_t>(400, model.size() - pos) + 1)
+                : std::min<uint64_t>(model.size() - pos,
+                                     1 + rng_.Uniform(4000));
+    const Bytes ins = rng_.BytesOf(rng_.Uniform(growing ? 3000 : 200));
+    ASSERT_TRUE(tree.SpliceBytes(pos, del, Slice(ins)).ok());
+    Bytes next(model.begin(), model.begin() + static_cast<long>(pos));
+    next.insert(next.end(), ins.begin(), ins.end());
+    next.insert(next.end(), model.begin() + static_cast<long>(pos + del),
+                model.end());
+    model = std::move(next);
+    auto canonical = PosTree::BuildFromBytes(&store_, cfg_, Slice(model));
+    ASSERT_TRUE(canonical.ok());
+    ASSERT_EQ(tree.root(), *canonical) << "step " << ++step;
+    if (!growing && model.size() < 64) {
+      ASSERT_TRUE(tree.SpliceBytes(0, model.size(), Slice()).ok());
+      model.clear();
+    }
+  }
+  EXPECT_EQ(tree.root(), *empty);
+}
+
+INSTANTIATE_TEST_SUITE_P(ConfigsAndSeeds, MutationOracleTest,
+                         ::testing::Combine(::testing::Range(0, 3),
+                                            ::testing::Range(0, 3)));
+
+// A mutation reads and writes chunks along the paths it touches, not the
+// whole index: at most 4 chunk gets+puts per level.
+size_t StoreOps(const MemChunkStore& store) {
+  const ChunkStoreStats s = store.stats();
+  return static_cast<size_t>(s.gets + s.puts);
+}
+
+TEST(PosTreeMutationCostTest, MapSetTouchesOnlyItsPath) {
+  MemChunkStore store;
+  const TreeConfig cfg;
+  Rng rng(61);
+  std::vector<Element> elems;
+  for (int i = 0; i < 100000; ++i) {
+    elems.push_back(
+        MakeElem(MakeKey(static_cast<uint64_t>(i) * 2), rng.String(24)));
+  }
+  auto root = PosTree::BuildFromElements(&store, cfg, ChunkType::kMap, elems);
+  ASSERT_TRUE(root.ok());
+  PosTree tree(&store, cfg, ChunkType::kMap, *root);
+  auto height = tree.Height();
+  ASSERT_TRUE(height.ok());
+  ASSERT_GE(*height, 3u);
+  for (int op = 0; op < 40; ++op) {
+    // Overwrites and fresh keys between existing ones.
+    const std::string key = MakeKey(rng.Uniform(200000));
+    const size_t before = StoreOps(store);
+    ASSERT_TRUE(tree.InsertOrAssign(Slice(key), Slice(rng.String(24))).ok());
+    EXPECT_LE(StoreOps(store) - before, 4 * *height) << "Set " << key;
+  }
+}
+
+TEST(PosTreeMutationCostTest, BlobSpliceTouchesOnlyItsPath) {
+  MemChunkStore store;
+  const TreeConfig cfg;
+  Rng rng(62);
+  const size_t size = size_t{16} << 20;
+  auto root = PosTree::BuildFromBytes(&store, cfg, Slice(rng.BytesOf(size)));
+  ASSERT_TRUE(root.ok());
+  PosTree tree(&store, cfg, ChunkType::kBlob, *root);
+  auto height = tree.Height();
+  ASSERT_TRUE(height.ok());
+  ASSERT_GE(*height, 3u);
+  for (int op = 0; op < 20; ++op) {
+    const size_t before = StoreOps(store);
+    ASSERT_TRUE(tree.SpliceBytes(rng.Uniform(size - 16), 16,
+                                 Slice(rng.BytesOf(16)))
+                    .ok());
+    EXPECT_LE(StoreOps(store) - before, 4 * *height) << "splice " << op;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -238,6 +238,34 @@ TEST(RollingHashTest, PatternRateApproximatesTwoPowMinusQ) {
   EXPECT_NEAR(rate, 1.0 / 256, 0.35 / 256);
 }
 
+TEST(RollingHashTest, AbsorbMatchesFeedingEveryByte) {
+  // The chunker appends runs it knows hold no boundary with Absorb, which
+  // hashes only their last window; the state and the warm-up count must
+  // match feeding each byte, for runs shorter and longer than the window.
+  Rng rng(9);
+  for (const size_t window : {size_t{1}, size_t{8}, size_t{32}}) {
+    for (const size_t prefix : {size_t{0}, size_t{5}, size_t{100}}) {
+      for (const size_t run : {size_t{0}, size_t{3}, window, size_t{77}}) {
+        const Bytes head = rng.BytesOf(prefix);
+        const Bytes body = rng.BytesOf(run);
+        const Bytes tail = rng.BytesOf(40);
+        RollingHash fed(window), absorbed(window);
+        for (uint8_t b : head) {
+          fed.Feed(b);
+          absorbed.Feed(b);
+        }
+        for (uint8_t b : body) fed.Feed(b);
+        absorbed.Absorb(body.data(), body.size());
+        ASSERT_EQ(fed.state(), absorbed.state());
+        for (uint8_t b : tail) {
+          ASSERT_EQ(fed.Feed(b), absorbed.Feed(b));
+          ASSERT_EQ(fed.HitsPattern(2), absorbed.HitsPattern(2));
+        }
+      }
+    }
+  }
+}
+
 TEST(RollingHashTest, ResetRestoresInitialState) {
   RollingHash h(16);
   const uint64_t fresh = h.state();
