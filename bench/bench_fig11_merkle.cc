@@ -38,7 +38,8 @@ void PrintCdf(const char* name, LatencyRecorder* rec, bench::BenchJson* json) {
     const double ms = rec->Percentile(p) / 1e3;
     std::snprintf(buf, sizeof(buf), " %9.3f", ms);
     line += buf;
-    char key[16];
+    // Sized for the longest key "%g" can produce from a double.
+    char key[sizeof("p-1.79769e+308_ms")];
     std::snprintf(key, sizeof(key), "p%g_ms", p);
     json->Num(key, ms);
   }

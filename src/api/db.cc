@@ -312,34 +312,48 @@ Result<Hash> ForkBase::ResolveReadHead(const std::string& key,
   return heads[0];
 }
 
+bool ForkBase::ReadHotHead(const std::string& key, const std::string& branch,
+                           const Hash& head, ValueReadout* out,
+                           bool count_miss, uint64_t max_bytes) {
+  if (hot_cache_ == nullptr) return false;
+  // The entry is served only when its uid equals the head the caller
+  // resolved, so a stale value can never be observed even if an
+  // invalidation is still in flight.
+  HotHeadCache::Entry entry;
+  if (!hot_cache_->Lookup(key, branch, head, &entry, count_miss, max_bytes)) {
+    return false;
+  }
+  Chunk meta;
+  if (!Chunk::Deserialize(Slice(entry.meta), &meta)) return false;
+  auto obj = FObject::FromChunk(meta);
+  // Undecodable entry (cannot happen without memory corruption): the
+  // caller falls through to the authoritative tree read.
+  if (!obj.ok()) return false;
+  out->object = std::move(*obj);
+  out->has_value = entry.has_value;
+  out->value = std::move(entry.value);
+  return true;
+}
+
+bool ForkBase::GetCachedValue(const std::string& key,
+                              const std::string& branch, uint64_t max_bytes,
+                              ValueReadout* out) {
+  if (hot_cache_ == nullptr) return false;
+  Result<Hash> head = ResolveReadHead(key, branch);
+  return head.ok() && ReadHotHead(key, branch, *head, out,
+                                  /*count_miss=*/false, max_bytes);
+}
+
 Result<ValueReadout> ForkBase::GetValue(const std::string& key,
                                         const std::string& branch) {
   FB_ASSIGN_OR_RETURN(Hash head, ResolveReadHead(key, branch));
-
-  // Hot path: the cache entry is served only when its uid equals the
-  // head resolved above, so a stale value can never be observed even if
-  // an invalidation is still in flight.
-  if (hot_cache_ != nullptr) {
-    HotHeadCache::Entry entry;
-    if (hot_cache_->Lookup(key, branch, head, &entry)) {
-      Chunk meta;
-      if (Chunk::Deserialize(Slice(entry.meta), &meta)) {
-        auto obj = FObject::FromChunk(meta);
-        if (obj.ok()) {
-          ValueReadout out;
-          out.object = std::move(*obj);
-          out.has_value = entry.has_value;
-          out.value = std::move(entry.value);
-          return out;
-        }
-      }
-      // Undecodable entry (cannot happen without memory corruption):
-      // fall through to the authoritative tree read.
-    }
+  ValueReadout out;
+  if (ReadHotHead(key, branch, head, &out, /*count_miss=*/true,
+                  /*max_bytes=*/UINT64_MAX)) {
+    return out;
   }
 
   FB_ASSIGN_OR_RETURN(FObject obj, FObject::Load(*store_, head));
-  ValueReadout out;
   if (!IsChunkable(obj.type())) {
     out.has_value = true;
     out.value = obj.value().bytes().ToBytes();

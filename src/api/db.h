@@ -185,6 +185,15 @@ class ForkBase {
   Result<ValueReadout> GetValue(const std::string& key,
                                 const std::string& branch = kDefaultBranch);
 
+  // Cache-only GetValue: true with *out filled when the hot-head cache
+  // holds (key, branch)'s current head and its meta + value bytes are at
+  // most max_bytes, false otherwise. Reads the branch tables and the
+  // cache, never the chunk store, so a thread that must not wait on I/O
+  // (the RPC server's event loop) may call it. A miss is left for the
+  // GetValue that follows to count.
+  bool GetCachedValue(const std::string& key, const std::string& branch,
+                      uint64_t max_bytes, ValueReadout* out);
+
   // Counters of the hot-head cache (zeroed stats when disabled).
   HotHeadCacheStats hot_head_stats() const;
 
@@ -366,6 +375,11 @@ class ForkBase {
   // (when empty) the key's sole untagged head.
   Result<Hash> ResolveReadHead(const std::string& key,
                                const std::string& branch) const;
+  // Serves `head` of (key, branch) from the hot-head cache, if it is
+  // there (see HotHeadCache::Lookup for count_miss and max_bytes).
+  bool ReadHotHead(const std::string& key, const std::string& branch,
+                   const Hash& head, ValueReadout* out, bool count_miss,
+                   uint64_t max_bytes);
 
   DBOptions options_;
   std::unique_ptr<ChunkStore> owned_store_;

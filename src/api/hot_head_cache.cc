@@ -30,28 +30,34 @@ void HotHeadCache::EraseLocked(
 }
 
 bool HotHeadCache::Lookup(const std::string& key, const std::string& branch,
-                          const Hash& head, Entry* out) {
+                          const Hash& head, Entry* out, bool count_miss,
+                          uint64_t max_bytes) {
   const std::string map_key = MapKey(key, branch);
   Shard& shard = ShardFor(map_key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(map_key);
   if (it == shard.index.end()) {
-    ++shard.stats.misses;
+    if (count_miss) ++shard.stats.misses;
     return false;
   }
   if (it->second->entry.uid != head) {
     // The head moved past this entry (the guard): it can never be served
     // again, so reclaim its bytes now.
     ++shard.stats.stale_drops;
-    ++shard.stats.misses;
+    if (count_miss) ++shard.stats.misses;
     EraseLocked(&shard, it);
+    return false;
+  }
+  const uint64_t bytes =
+      it->second->entry.meta.size() + it->second->entry.value.size();
+  if (bytes > max_bytes) {
+    if (count_miss) ++shard.stats.misses;
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   *out = it->second->entry;
   ++shard.stats.hits;
-  shard.stats.hit_bytes += it->second->entry.meta.size() +
-                           it->second->entry.value.size();
+  shard.stats.hit_bytes += bytes;
   return true;
 }
 

@@ -58,9 +58,13 @@ class HotHeadCache : public HeadObserver {
   HotHeadCache& operator=(const HotHeadCache&) = delete;
 
   // Serves the entry for (key, branch) iff one exists AND its uid equals
-  // `head` (the guard). A uid mismatch drops the dead entry.
+  // `head` (the guard). A uid mismatch drops the dead entry. A probe
+  // whose miss a full lookup will follow passes count_miss = false, so
+  // one read counts one miss; it may also pass max_bytes, and an entry
+  // whose meta + value exceed it is left in place, not served.
   bool Lookup(const std::string& key, const std::string& branch,
-              const Hash& head, Entry* out);
+              const Hash& head, Entry* out, bool count_miss = true,
+              uint64_t max_bytes = UINT64_MAX);
 
   void Insert(const std::string& key, const std::string& branch, Entry entry);
 

@@ -191,14 +191,19 @@ Reply ApplyCommand(ForkBase* db, const Command& cmd) {
     case CommandOp::kGetValue: {
       auto readout = db->GetValue(cmd.key, cmd.branch);
       if (!readout.ok()) return Reply::FromStatus(readout.status());
-      reply.uid = readout->object.uid();
-      AppendObject(&reply, readout->object);
-      reply.has_value = readout->has_value;
-      reply.value = std::move(readout->value);
-      return reply;
+      return ValueReply(std::move(*readout));
     }
   }
   return Reply::FromStatus(Status::Unimplemented("unknown command op"));
+}
+
+Reply ValueReply(ValueReadout readout) {
+  Reply reply;
+  reply.uid = readout.object.uid();
+  AppendObject(&reply, readout.object);
+  reply.has_value = readout.has_value;
+  reply.value = std::move(readout.value);
+  return reply;
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ ConflictResolver ResolverFor(MergePolicy policy);
 // adapter and the cluster servlets.
 Reply ApplyCommand(ForkBase* db, const Command& cmd);
 
+// The Reply of a successful kGetValue: ApplyCommand's, and the RPC
+// server's when it answers from ForkBase::GetCachedValue.
+Reply ValueReply(ValueReadout readout);
+
 // Synchronous in-process implementation over one ForkBase engine.
 class EmbeddedService : public ForkBaseService {
  public:

@@ -210,41 +210,43 @@ Result<Bytes> PosTree::ReadBytes(uint64_t pos, uint64_t n) const {
   if (leaf_type_ != ChunkType::kBlob) {
     return Status::InvalidArgument("ReadBytes requires Blob");
   }
-  std::vector<Entry> leaves;
-  Status s = LoadLeafEntries(&leaves);
-  if (!s.ok()) return s;
-  // Collect every overlapping leaf first, then fetch them in ONE
-  // GetBatch: against a remote or peer-resolving store the whole read
-  // costs one round trip instead of one per leaf.
-  struct Want {
-    uint64_t from;
-    uint64_t len;
-  };
-  std::vector<Hash> cids;
-  std::vector<Want> wants;
-  uint64_t cum = 0;
-  for (const Entry& leaf : leaves) {
-    const uint64_t leaf_end = cum + leaf.count;
-    if (leaf_end > pos && cum < pos + n) {
-      const uint64_t from = pos > cum ? pos - cum : 0;
-      const uint64_t to =
-          std::min<uint64_t>(leaf.count, pos + n > cum ? pos + n - cum : 0);
-      if (to > from) {
-        cids.push_back(leaf.cid);
-        wants.push_back({from, to - from});
+  const uint64_t end = n > UINT64_MAX - pos ? UINT64_MAX : pos + n;
+  // Descend by position, one level at a time, keeping only the children
+  // that overlap [pos, end). Each level is fetched with ONE GetBatch, so
+  // a read costs the nodes on its paths, and against a remote or
+  // peer-resolving store one round trip per level.
+  std::vector<Chunk> nodes(1);
+  FB_RETURN_NOT_OK(ReadNode(root_, &nodes[0]));
+  std::vector<uint64_t> starts{0};  // blob offset of each node's first byte
+  std::vector<EntryView> entries;
+  while (IsIndexType(nodes.front().type())) {
+    std::vector<Hash> cids;
+    std::vector<uint64_t> child_starts;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (!IsIndexType(nodes[i].type())) {
+        return Status::Corruption("index and leaf nodes on one level");
+      }
+      FB_RETURN_NOT_OK(DecodeIndexEntryViews(nodes[i].payload(), &entries));
+      uint64_t cum = starts[i];
+      for (const EntryView& e : entries) {
+        if (cum >= end) break;
+        if (cum + e.count > pos) {
+          cids.push_back(e.cid);
+          child_starts.push_back(cum);
+        }
+        cum += e.count;
       }
     }
-    cum = leaf_end;
-    if (cum >= pos + n) break;
+    if (cids.empty()) return Bytes();  // the range starts past the end
+    FB_RETURN_NOT_OK(store_->GetBatch(cids, &nodes));
+    starts = std::move(child_starts);
   }
-  std::vector<Chunk> chunks;
-  s = store_->GetBatch(cids, &chunks);
-  if (!s.ok()) return s;
   Bytes out;
-  for (size_t i = 0; i < cids.size(); ++i) {
-    const Slice part =
-        chunks[i].payload().subslice(wants[i].from, wants[i].len);
-    AppendSlice(&out, part);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Slice leaf = nodes[i].payload();
+    const uint64_t from = pos > starts[i] ? pos - starts[i] : 0;
+    const uint64_t to = std::min<uint64_t>(leaf.size(), end - starts[i]);
+    if (to > from) AppendSlice(&out, leaf.subslice(from, to - from));
   }
   return out;
 }

@@ -152,22 +152,22 @@ Status FrameReader::Fill(size_t need) {
   // 256 KB gulps: a pipelined reply stream of small frames decodes many
   // frames per recv instead of paying two syscalls per frame.
   static constexpr size_t kGulp = 256u << 10;
-  while (buf_.size() - pos_ < need) {
-    if (pos_ > 0 && pos_ == buf_.size()) {
-      buf_.clear();
-      pos_ = 0;
+  while (end_ - pos_ < need) {
+    if (pos_ == end_) {
+      pos_ = end_ = 0;
     } else if (pos_ > kGulp) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
+      std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+      end_ -= pos_;
       pos_ = 0;
     }
-    const size_t old = buf_.size();
-    const size_t want = need - (old - pos_) > kGulp ? need - (old - pos_)
-                                                    : kGulp;
-    buf_.resize(old + want);
+    const size_t missing = need - (end_ - pos_);
+    const size_t want = missing > kGulp ? missing : kGulp;
+    // The buffer only grows: bytes past end_ are scratch, so a stream of
+    // small replies reuses it without re-zeroing a gulp per recv.
+    if (buf_.size() < end_ + want) buf_.resize(end_ + want);
     size_t got = 0;
-    const Status s = sock_->RecvSome(buf_.data() + old, want, &got);
-    buf_.resize(old + got);
-    FB_RETURN_NOT_OK(s);
+    FB_RETURN_NOT_OK(sock_->RecvSome(buf_.data() + end_, want, &got));
+    end_ += got;
   }
   return Status::OK();
 }

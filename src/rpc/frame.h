@@ -109,6 +109,7 @@ class FrameReader {
   Socket* sock_;
   Bytes buf_;
   size_t pos_ = 0;  // consumed prefix of buf_
+  size_t end_ = 0;  // received bytes end here; the rest is scratch
 };
 
 // Incremental frame decoder over caller-owned bytes — the event-loop

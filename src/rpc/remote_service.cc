@@ -40,18 +40,18 @@ RemoteService::~RemoteService() {
     conns.swap(all_conns_);
     pool_.clear();
   }
+  std::vector<std::thread> helpers;
   for (auto& c : conns) {
     {
       MutexLock lock(c->out_mu);
       c->writer_stop = true;
+      if (c->writer.joinable()) helpers.push_back(std::move(c->writer));
+      if (c->reader.joinable()) helpers.push_back(std::move(c->reader));
     }
     c->out_cv.SignalAll();
     c->sock.Shutdown();
   }
-  for (auto& c : conns) {
-    if (c->writer.joinable()) c->writer.join();
-    if (c->reader.joinable()) c->reader.join();
-  }
+  for (std::thread& t : helpers) t.join();
 }
 
 Result<std::shared_ptr<RemoteService::Connection>>
@@ -59,11 +59,12 @@ RemoteService::OpenConnection() {
   FB_ASSIGN_OR_RETURN(Endpoint ep, Endpoint::Parse(endpoint_));
   auto conn = std::make_shared<Connection>();
   FB_ASSIGN_OR_RETURN(conn->sock, Socket::Connect(ep));
-  // A deep pipeline keeps thousands of requests registered; pre-sizing
-  // the id map keeps the hot path off the rehash cliff.
-  conn->pending.reserve(4096);
-  conn->reader = std::thread([c = conn.get()] { ReaderLoop(c); });
-  conn->writer = std::thread([c = conn.get()] { WriterLoop(c); });
+  {
+    // A deep pipeline keeps thousands of requests registered; pre-sizing
+    // the id map keeps the hot path off the rehash cliff.
+    MutexLock lock(conn->pending_mu);
+    conn->pending.reserve(4096);
+  }
   connections_opened_.fetch_add(1, std::memory_order_relaxed);
   return conn;
 }
@@ -77,13 +78,24 @@ RemoteService::GetConnection() {
   const size_t slot =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
       options_.pool_size;
+  std::shared_ptr<Connection> idle;
   {
     MutexLock lock(pool_mu_);
     std::shared_ptr<Connection>& c = pool_[slot];
     if (c != nullptr) {
       MutexLock plock(c->pending_mu);
-      if (c->alive) return c;
+      // A connection that is being read, or that a registered request is
+      // about to read, learns of a close from that read.
+      if (c->alive && (c->read_held || !c->pending.empty())) return c;
+      if (c->alive) idle = c;
     }
+  }
+  // Nobody reads an idle connection, so a server that closed it (a
+  // restart) would surface only as the next call's failed reply. Check
+  // it before reuse, and replace it if the server is gone.
+  if (idle != nullptr) {
+    if (!idle->sock.PeerClosed()) return idle;
+    FailPending(idle.get(), Status::IOError("connection closed by server"));
   }
   // Slot empty or dead: reconnect outside the pool lock (connect can
   // block), then install. A concurrent reconnect of the same slot just
@@ -103,10 +115,10 @@ RemoteService::GetConnection() {
       evicted_alive = evicted->alive;
     }
     // A live evictee is a concurrent reconnect's fresh connection: its
-    // reader is healthy and completes its pending normally (it stays in
-    // all_conns_), so failing them would kill good requests. A dead one
-    // was normally drained by its own reader; drain again defensively so
-    // no pipelined Submit can outlive its connection unresolved.
+    // callers still read it and complete its pending normally (it stays
+    // in all_conns_), so failing them would kill good requests. A dead
+    // one was drained when it died; drain again defensively so no
+    // pipelined Submit can outlive its connection unresolved.
     if (!evicted_alive) {
       FailPending(evicted.get(),
                   Status::IOError("connection replaced after failure"));
@@ -115,8 +127,18 @@ RemoteService::GetConnection() {
   return fresh;
 }
 
+bool RemoteService::ReadSideHeld() {
+  MutexLock lock(pool_mu_);
+  for (const std::shared_ptr<Connection>& c : pool_) {
+    if (c == nullptr) continue;
+    MutexLock plock(c->pending_mu);
+    if (c->read_held) return true;
+  }
+  return false;
+}
+
 void RemoteService::FailPending(Connection* conn, const Status& why) {
-  std::unordered_map<uint64_t, std::function<void(Status, Frame&&)>> drained;
+  std::unordered_map<uint64_t, Completion> drained;
   {
     MutexLock lock(conn->pending_mu);
     conn->alive = false;
@@ -126,15 +148,15 @@ void RemoteService::FailPending(Connection* conn, const Status& why) {
     Frame none;
     on_done(why, std::move(none));
   }
+  // The reader thread may be waiting for a read side that nobody needs
+  // any more.
+  conn->read_cv.SignalAll();
 }
 
-void RemoteService::ReaderLoop(Connection* conn) {
-  // Buffered reads: a pipelined response burst is drained in large
-  // gulps, many frames per recv syscall.
-  FrameReader reader(&conn->sock);
+void RemoteService::ReadFrames(Connection* conn, uint64_t own_id) {
   for (;;) {
     Frame frame;
-    const Status s = reader.Next(&frame);
+    const Status s = conn->frames.Next(&frame);
     if (!s.ok()) {
       // Checksum damage on the response stream leaves the frame
       // boundary intact but the affected request unidentifiable in
@@ -146,18 +168,38 @@ void RemoteService::ReaderLoop(Connection* conn) {
       conn->sock.Shutdown();
       return;
     }
-    std::function<void(Status, Frame&&)> on_done;
+    const uint64_t id = frame.request_id;
+    Completion on_done;
     {
       MutexLock lock(conn->pending_mu);
-      auto it = conn->pending.find(frame.request_id);
+      auto it = conn->pending.find(id);
       if (it != conn->pending.end()) {
         on_done = std::move(it->second);
         conn->pending.erase(it);
       }
     }
     // Replies to ids we never sent (or already failed) are dropped.
-    if (on_done) on_done(Status::OK(), std::move(frame));
+    if (!on_done) continue;
+    on_done(Status::OK(), std::move(frame));
+    if (id == own_id) return;
   }
+}
+
+void RemoteService::ReaderLoop(Connection* conn) {
+  {
+    MutexLock lock(conn->pending_mu);
+    while (conn->alive && conn->read_held) {
+      conn->read_cv.Wait(conn->pending_mu);
+    }
+    if (!conn->alive) return;
+    conn->read_held = true;
+  }
+  ReadFrames(conn, /*own_id=*/0);
+  {
+    MutexLock lock(conn->pending_mu);
+    conn->read_held = false;
+  }
+  conn->read_cv.SignalAll();
 }
 
 void RemoteService::WriterLoop(Connection* conn) {
@@ -183,9 +225,10 @@ void RemoteService::WriterLoop(Connection* conn) {
       sent = conn->sock.SendAll(batch.data(), batch.size());
     }
     if (!sent.ok()) {
-      // Poison the socket: the reader fails every registered request
-      // (queued-but-unsent ones included — they registered in pending
-      // before queuing). From here on queued bytes are just dropped.
+      // Poison the socket: whoever holds the read side fails every
+      // registered request (queued-but-unsent ones included — they
+      // registered in pending before queuing). From here on queued
+      // bytes are just dropped.
       conn->sock.Shutdown();
       lock.Lock();
       conn->write_failed = true;
@@ -196,97 +239,128 @@ void RemoteService::WriterLoop(Connection* conn) {
   }
 }
 
-Status RemoteService::SendRequest(
-    FrameType type, Slice payload,
-    std::function<void(Status, Frame&&)> on_done, bool pipelined) {
+Result<Frame> RemoteService::RoundTrip(FrameType type, Slice payload) {
   FB_ASSIGN_OR_RETURN(std::shared_ptr<Connection> conn, GetConnection());
+  Connection* c = conn.get();
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  SyncCall call;
   {
-    // Register before sending so a fast reply cannot race the
-    // registration; bail if the reader declared the connection dead in
-    // between (the callback would never fire).
-    MutexLock lock(conn->pending_mu);
-    if (!conn->alive) return Status::IOError("connection lost");
-    conn->pending.emplace(id, std::move(on_done));
-  }
-  if (pipelined) {
-    // Hand the frame to the writer. If the writer already failed, the
-    // reader's drain owns the callback (registration above happened
-    // while the connection was still alive), so report OK either way.
-    MutexLock lock(conn->out_mu);
-    if (!conn->write_failed) {
-      EncodeFrame(type, id, payload, &conn->outbuf);
-      conn->out_cv.Signal();
-    }
-    return Status::OK();
+    // Register before sending so a fast reply read by another thread
+    // finds its completion.
+    MutexLock lock(c->pending_mu);
+    if (!c->alive) return Status::IOError("connection lost");
+    c->pending.emplace(id, [c, &call](Status s, Frame&& frame) {
+      MutexLock lock(c->pending_mu);
+      call.status = std::move(s);
+      call.frame = std::move(frame);
+      call.done = true;
+      c->read_cv.SignalAll();
+    });
   }
   Status sent;
   {
-    MutexLock lock(conn->write_mu);
-    sent = SendFrame(&conn->sock, type, id, payload);
+    MutexLock lock(c->write_mu);
+    sent = SendFrame(&c->sock, type, id, payload);
   }
   if (!sent.ok()) {
-    // Poison the connection (the reader will fail the other pending
-    // requests off the dead socket) and reclaim our callback. If the
-    // reader got there first the callback has already run — report OK
-    // so the caller does not complete the promise a second time.
-    conn->sock.Shutdown();
-    bool reclaimed = false;
-    {
-      MutexLock lock(conn->pending_mu);
-      reclaimed = conn->pending.erase(id) > 0;
-    }
-    if (!reclaimed) return Status::OK();
+    // Poison the connection: every registered request, this one
+    // included, fails now, and the next call reconnects.
+    c->sock.Shutdown();
+    FailPending(c, sent);
   }
-  return sent;
+  // Read until this call's reply is completed — by this thread, or by
+  // whichever thread holds the read side (it signals read_cv).
+  MutexLock lock(c->pending_mu);
+  while (!call.done) {
+    if (c->read_held) {
+      c->read_cv.Wait(c->pending_mu);
+      continue;
+    }
+    c->read_held = true;
+    lock.Unlock();
+    ReadFrames(c, id);
+    lock.Lock();
+    c->read_held = false;
+    // Waiting callers (or the reader thread) take the read side over.
+    c->read_cv.SignalAll();
+  }
+  if (!call.status.ok()) return call.status;
+  return std::move(call.frame);
+}
+
+Status RemoteService::SendPipelined(FrameType type, Slice payload,
+                                    Completion on_done) {
+  FB_ASSIGN_OR_RETURN(std::shared_ptr<Connection> conn, GetConnection());
+  Connection* c = conn.get();
+  const uint64_t id =
+      next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  {
+    // Bail if the connection died before registration (the callback
+    // would never fire).
+    MutexLock lock(c->pending_mu);
+    if (!c->alive) return Status::IOError("connection lost");
+    c->pending.emplace(id, std::move(on_done));
+  }
+  // Hand the frame to the writer. If the writer already failed, the
+  // drain owns the callback (registration above happened while the
+  // connection was still alive), so report OK either way.
+  MutexLock lock(c->out_mu);
+  if (!c->writer.joinable() && !c->writer_stop) {
+    c->reader = std::thread([c] { ReaderLoop(c); });
+    c->writer = std::thread([c] { WriterLoop(c); });
+  }
+  if (!c->write_failed) {
+    EncodeFrame(type, id, payload, &c->outbuf);
+    c->out_cv.Signal();
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Command path
 // ---------------------------------------------------------------------------
 
-std::future<Reply> RemoteService::DispatchCommand(const Command& cmd,
-                                                  bool pipelined) {
-  auto promise = std::make_shared<std::promise<Reply>>();
-  std::future<Reply> future = promise->get_future();
-  const Bytes wire = cmd.Serialize();
-  const Status s = SendRequest(
-      FrameType::kCommand, Slice(wire),
-      [promise](Status transport, Frame&& frame) {
-        if (!transport.ok()) {
-          promise->set_value(Reply::FromStatus(transport));
-          return;
-        }
-        if (frame.type == FrameType::kReply) {
-          Result<Reply> reply = Reply::Parse(Slice(frame.payload));
-          promise->set_value(reply.ok() ? std::move(*reply)
-                                        : Reply::FromStatus(reply.status()));
-          return;
-        }
-        if (frame.type == FrameType::kControlResp) {
-          // The server could not treat this as a command (damaged
-          // frame, protocol error); the carried status explains why.
-          Status remote;
-          Slice body;
-          const Status d = DecodeControl(Slice(frame.payload), &remote, &body);
-          promise->set_value(Reply::FromStatus(d.ok() ? remote : d));
-          return;
-        }
-        promise->set_value(Reply::FromStatus(
-            Status::Corruption("unexpected response frame type")));
-      },
-      pipelined);
-  if (!s.ok()) promise->set_value(Reply::FromStatus(s));
-  return future;
+namespace {
+
+Reply ReplyFromFrame(const Frame& frame) {
+  if (frame.type == FrameType::kReply) {
+    Result<Reply> reply = Reply::Parse(Slice(frame.payload));
+    return reply.ok() ? std::move(*reply) : Reply::FromStatus(reply.status());
+  }
+  if (frame.type == FrameType::kControlResp) {
+    // The server could not treat this as a command (damaged frame,
+    // protocol error); the carried status explains why.
+    Status remote;
+    Slice body;
+    const Status d = DecodeControl(Slice(frame.payload), &remote, &body);
+    return Reply::FromStatus(d.ok() ? remote : d);
+  }
+  return Reply::FromStatus(
+      Status::Corruption("unexpected response frame type"));
 }
 
+}  // namespace
+
 Reply RemoteService::Execute(const Command& cmd) {
-  return DispatchCommand(cmd, /*pipelined=*/false).get();
+  const Bytes wire = cmd.Serialize();
+  Result<Frame> frame = RoundTrip(FrameType::kCommand, Slice(wire));
+  return frame.ok() ? ReplyFromFrame(*frame)
+                    : Reply::FromStatus(frame.status());
 }
 
 std::future<Reply> RemoteService::Submit(Command cmd) {
-  return DispatchCommand(cmd, /*pipelined=*/true);
+  auto promise = std::make_shared<std::promise<Reply>>();
+  std::future<Reply> future = promise->get_future();
+  const Bytes wire = cmd.Serialize();
+  const Status s = SendPipelined(
+      FrameType::kCommand, Slice(wire),
+      [promise](Status transport, Frame&& frame) {
+        promise->set_value(transport.ok() ? ReplyFromFrame(frame)
+                                          : Reply::FromStatus(transport));
+      });
+  if (!s.ok()) promise->set_value(Reply::FromStatus(s));
+  return future;
 }
 
 // ---------------------------------------------------------------------------
@@ -294,32 +368,15 @@ std::future<Reply> RemoteService::Submit(Command cmd) {
 // ---------------------------------------------------------------------------
 
 Result<Bytes> RemoteService::CallControl(FrameType type, Slice payload) {
-  auto promise = std::make_shared<std::promise<Result<Bytes>>>();
-  std::future<Result<Bytes>> future = promise->get_future();
-  const Status s = SendRequest(
-      type, payload, [promise](Status transport, Frame&& frame) {
-        if (!transport.ok()) {
-          promise->set_value(transport);
-          return;
-        }
-        if (frame.type != FrameType::kControlResp) {
-          promise->set_value(
-              Status::Corruption("unexpected response frame type"));
-          return;
-        }
-        Status remote;
-        Slice body;
-        const Status d = DecodeControl(Slice(frame.payload), &remote, &body);
-        if (!d.ok()) {
-          promise->set_value(d);
-        } else if (!remote.ok()) {
-          promise->set_value(remote);
-        } else {
-          promise->set_value(body.ToBytes());
-        }
-      });
-  FB_RETURN_NOT_OK(s);
-  return future.get();
+  FB_ASSIGN_OR_RETURN(Frame frame, RoundTrip(type, payload));
+  if (frame.type != FrameType::kControlResp) {
+    return Status::Corruption("unexpected response frame type");
+  }
+  Status remote;
+  Slice body;
+  FB_RETURN_NOT_OK(DecodeControl(Slice(frame.payload), &remote, &body));
+  FB_RETURN_NOT_OK(remote);
+  return body.ToBytes();
 }
 
 Status RemoteService::GetChunkLocal(const Hash& cid, Chunk* chunk) {

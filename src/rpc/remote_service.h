@@ -3,10 +3,16 @@
 //
 // Every typed M1-M17 wrapper works unchanged: Execute serializes the
 // Command into a frame, ships it, and parses the Reply frame that comes
-// back. Submit() is the pipelined path: many requests may be in flight
-// on one connection, each tagged with a request id, and the per-
-// connection reader thread completes futures in whatever order the
-// server's worker pool finishes them.
+// back. A synchronous call (Execute, Call, the chunk transfers) sends
+// its own frame and then reads the connection itself until its reply
+// arrives, completing by request id any other reply it reads on the
+// way; a call that finds another thread reading waits for that thread
+// to hand it its reply or the read side. Submit() is the pipelined
+// path: many requests may be in flight on one connection, each tagged
+// with a request id, and completions arrive in whatever order the
+// server finishes them. The first Submit on a connection starts its
+// reader and writer threads; a connection used only synchronously runs
+// none.
 //
 // A small connection pool (RemoteServiceOptions::pool_size) spreads
 // concurrent callers over independent sockets; a connection that dies
@@ -133,32 +139,47 @@ class RemoteService : public ForkBaseService {
   uint64_t connections_opened() const {
     return connections_opened_.load(std::memory_order_relaxed);
   }
+  // Whether some thread is reading a pooled connection right now; test
+  // surface for ordering events around a synchronous caller's read.
+  bool ReadSideHeld();
 
  private:
   friend class RemoteChunkStore;
 
-  // One pooled connection with its demultiplexing reader and its
-  // send-coalescing writer. Sync calls send inline (latency path);
-  // pipelined Submits append encoded frames to outbuf and the writer
-  // ships whatever has accumulated in one SendAll — a deep pipeline
-  // costs a fraction of a syscall per request on the way out.
+  // Completes one registered request: with its reply frame, or with the
+  // transport error that killed the connection.
+  using Completion = std::function<void(Status, Frame&&)>;
+
+  // One pooled connection. Its read side is held by one thread at a
+  // time: a synchronous caller waiting for its own reply, or the reader
+  // thread that the first pipelined Submit starts. The holder completes
+  // every reply it reads by request id. Sync calls send inline; Submits
+  // append encoded frames to outbuf and the writer ships whatever has
+  // accumulated in one SendAll, so a deep pipeline costs a fraction of a
+  // syscall per request on the way out.
   // The three per-connection locks share one (innermost) rank: they are
   // never held together — write_mu covers only the SendAll/SendFrame
-  // syscall, pending_mu only the id-map touch, out_mu only the writer
-  // queue — and the rank checker enforces exactly that.
+  // syscall, pending_mu only the id map and the read-side hand-off,
+  // out_mu only the writer queue and thread start — and the rank
+  // checker enforces exactly that.
   struct Connection {
     Socket sock;
     Mutex write_mu{kRankRemoteConn,
                    "remote-write"};  // serializes bytes onto the socket
     Mutex pending_mu{kRankRemoteConn, "remote-pending"};
+    // A sync call's reply was completed, or the read side came free.
+    CondVar read_cv;
     bool alive GUARDED_BY(pending_mu) = true;
-    // request id -> completion; invoked by the reader thread (or by the
-    // drain when the connection dies).
-    std::unordered_map<uint64_t, std::function<void(Status, Frame&&)>> pending
-        GUARDED_BY(pending_mu);
-    std::thread reader;
+    // Some thread is reading `frames`.
+    bool read_held GUARDED_BY(pending_mu) = false;
+    // request id -> completion; invoked by the read side's holder (or by
+    // the drain when the connection dies).
+    std::unordered_map<uint64_t, Completion> pending GUARDED_BY(pending_mu);
+    // Touched only by the read side's holder; the hand-off under
+    // pending_mu orders one holder's use before the next one's.
+    FrameReader frames{&sock};
 
-    // --- writer state (guarded by out_mu) ---
+    // --- pipelined path (guarded by out_mu) ---
     Mutex out_mu{kRankRemoteConn, "remote-out"};
     CondVar out_cv;
     // encoded frames awaiting the writer
@@ -166,7 +187,17 @@ class RemoteService : public ForkBaseService {
     // writer hit a transport error
     bool write_failed GUARDED_BY(out_mu) = false;
     bool writer_stop GUARDED_BY(out_mu) = false;
-    std::thread writer;
+    // Started together by the first Submit.
+    std::thread reader GUARDED_BY(out_mu);
+    std::thread writer GUARDED_BY(out_mu);
+  };
+
+  // A synchronous call waiting for its reply (fields guarded by the
+  // connection's pending_mu).
+  struct SyncCall {
+    bool done = false;
+    Status status;
+    Frame frame;
   };
 
   RemoteService(std::string endpoint, RemoteServiceOptions options)
@@ -175,20 +206,24 @@ class RemoteService : public ForkBaseService {
   // Round-robin pick; replaces dead slots by reconnecting.
   Result<std::shared_ptr<Connection>> GetConnection();
   Result<std::shared_ptr<Connection>> OpenConnection();
+  // The reader thread: takes the read side once it is free and keeps it
+  // until the connection dies.
   static void ReaderLoop(Connection* conn);
   static void WriterLoop(Connection* conn);
+  // Reads frames and completes each by request id, until the reply to
+  // `own_id` has been completed or the connection dies (0: until death).
+  static void ReadFrames(Connection* conn, uint64_t own_id);
   static void FailPending(Connection* conn, const Status& why);
 
-  // Registers the callback and sends one frame. Sync (default): the
-  // frame goes out inline; on transport failure the callback is NOT
-  // invoked and the error returns to the caller. Pipelined: the frame
-  // is handed to the connection's writer thread (coalesced with
-  // whatever else is queued) and failures surface through the callback.
-  Status SendRequest(FrameType type, Slice payload,
-                     std::function<void(Status, Frame&&)> on_done,
-                     bool pipelined = false);
+  // Synchronous round trip: registers, sends inline, then reads the
+  // connection (or waits for whoever is reading it) until the reply
+  // arrives. Transport failures come back as the error.
+  Result<Frame> RoundTrip(FrameType type, Slice payload);
+  // Pipelined send: registers `on_done`, starts the connection's reader
+  // and writer on first use and queues the frame for the writer.
+  // Failures after registration surface through the callback.
+  Status SendPipelined(FrameType type, Slice payload, Completion on_done);
 
-  std::future<Reply> DispatchCommand(const Command& cmd, bool pipelined);
   // Sync non-command call: remote status, with the response body on OK.
   Result<Bytes> CallControl(FrameType type, Slice payload);
 
@@ -209,7 +244,7 @@ class RemoteService : public ForkBaseService {
   Mutex pool_mu_{kRankRemoteClient, "remote-pool"};
   // fixed pool_size slots
   std::vector<std::shared_ptr<Connection>> pool_ GUARDED_BY(pool_mu_);
-  // Every connection ever opened, so the destructor can join all reader
+  // Every connection ever opened, so the destructor can join all helper
   // threads (replaced slots included).
   std::vector<std::shared_ptr<Connection>> all_conns_ GUARDED_BY(pool_mu_);
 };

@@ -213,18 +213,18 @@ void ForkBaseServer::ReadReady(const std::shared_ptr<Conn>& conn) {
   if (conn->reaped || conn->stalled) return;
   constexpr size_t kReadChunk = 64u << 10;
   for (;;) {
-    const size_t old = conn->rbuf.size();
-    conn->rbuf.resize(old + kReadChunk);
-    const ssize_t r =
-        ::recv(conn->sock.fd(), conn->rbuf.data() + old, kReadChunk, 0);
+    if (conn->rbuf.size() < conn->rend + kReadChunk) {
+      conn->rbuf.resize(conn->rend + kReadChunk);
+    }
+    const ssize_t r = ::recv(conn->sock.fd(), conn->rbuf.data() + conn->rend,
+                             kReadChunk, 0);
     if (r > 0) {
-      conn->rbuf.resize(old + static_cast<size_t>(r));
+      conn->rend += static_cast<size_t>(r);
       ParseFrames(conn);
       if (conn->reaped || conn->stalled) return;
       if (static_cast<size_t>(r) < kReadChunk) return;  // likely drained
       continue;
     }
-    conn->rbuf.resize(old);
     if (r == 0) {
       CloseConn(conn);  // clean EOF
       return;
@@ -242,8 +242,7 @@ void ForkBaseServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
     size_t consumed = 0;
     const Status s =
         DecodeFrameFromBuffer(conn->rbuf.data() + conn->rpos,
-                              conn->rbuf.size() - conn->rpos, &frame,
-                              &consumed);
+                              conn->rend - conn->rpos, &frame, &consumed);
     conn->rpos += consumed;
     if (s.ok()) {
       if (consumed == 0) break;  // need more bytes
@@ -265,12 +264,12 @@ void ForkBaseServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
   }
   // Compact the consumed prefix so a long-lived connection's buffer
   // does not grow without bound.
-  if (conn->rpos == conn->rbuf.size()) {
-    conn->rbuf.clear();
-    conn->rpos = 0;
+  if (conn->rpos == conn->rend) {
+    conn->rpos = conn->rend = 0;
   } else if (conn->rpos > (1u << 20)) {
-    conn->rbuf.erase(conn->rbuf.begin(),
-                     conn->rbuf.begin() + static_cast<ptrdiff_t>(conn->rpos));
+    std::memmove(conn->rbuf.data(), conn->rbuf.data() + conn->rpos,
+                 conn->rend - conn->rpos);
+    conn->rend -= conn->rpos;
     conn->rpos = 0;
   }
 }
@@ -302,6 +301,9 @@ void ForkBaseServer::HandleFrame(const std::shared_ptr<Conn>& conn,
     }
     default:
       break;
+  }
+  if (frame.type == FrameType::kCommand && ServeCachedRead(conn, frame)) {
+    return;
   }
   bool queued = false;
   {
@@ -505,9 +507,38 @@ void ForkBaseServer::QueueControl(const std::shared_ptr<Conn>& conn,
   QueueWrite(conn, std::move(wire));
 }
 
+void ForkBaseServer::QueueReply(const std::shared_ptr<Conn>& conn,
+                                uint64_t request_id, const Reply& reply) {
+  const Bytes body = reply.Serialize();
+  Bytes wire;
+  wire.reserve(kFrameHeaderSize + body.size());
+  EncodeFrame(FrameType::kReply, request_id, Slice(body), &wire);
+  QueueWrite(conn, std::move(wire));
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
+
+bool ForkBaseServer::ServeCachedRead(const std::shared_ptr<Conn>& conn,
+                                     const Frame& frame) {
+  // Peek at the envelope's version and op bytes; only GetValue is parsed
+  // here. A frame that does not parse is the worker's to report.
+  const Slice payload(frame.payload);
+  if (payload.size() < 2 || payload[0] != kCommandWireVersion ||
+      payload[1] != static_cast<uint8_t>(CommandOp::kGetValue)) {
+    return false;
+  }
+  Result<Command> cmd = Command::Parse(payload);
+  // A read never mutates, so a follower serves it like a leader does.
+  ValueReadout hit;
+  if (!cmd.ok() || !engine_->GetCachedValue(cmd->key, cmd->branch,
+                                            kMaxInlineReadBytes, &hit)) {
+    return false;
+  }
+  QueueReply(conn, frame.request_id, ValueReply(std::move(hit)));
+  return true;
+}
 
 void ForkBaseServer::ServePeerGet(const std::shared_ptr<Conn>& conn,
                                   const Frame& frame) {
@@ -614,11 +645,7 @@ void ForkBaseServer::Dispatch(const WorkItem& item) {
           reply = ApplyCommand(engine_, *cmd);
         }
       }
-      const Bytes body = reply.Serialize();
-      Bytes wire;
-      wire.reserve(kFrameHeaderSize + body.size());
-      EncodeFrame(FrameType::kReply, id, Slice(body), &wire);
-      QueueWrite(conn, std::move(wire));
+      QueueReply(conn, id, reply);
       return;
     }
     case FrameType::kChunkGet: {

@@ -28,6 +28,15 @@
 // inline on the event loop, bypassing the worker queue: peer gets stay
 // serviceable even when every worker is parked on its own outbound peer
 // fetch (the cross-server worker-pool deadlock).
+//
+// So is a GetValue whose key's current head the engine's hot-head cache
+// holds (ForkBase::GetCachedValue, the uid-guarded probe that never
+// touches the chunk store): a hot read costs the event loop a map lookup
+// and a send, not a hand-off to a worker and back. A miss, a hit larger
+// than kMaxInlineReadBytes, and every other command go to the worker
+// pool. Because of this an inline read can overtake a Put pipelined
+// ahead of it on the same connection; a Put whose reply has arrived is
+// always seen.
 
 #ifndef FORKBASE_RPC_SERVER_H_
 #define FORKBASE_RPC_SERVER_H_
@@ -40,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/command.h"
 #include "api/db.h"
 #include "rpc/frame.h"
 #include "rpc/socket.h"
@@ -127,8 +137,9 @@ class ForkBaseServer {
     uint64_t id = 0;
 
     // --- event-loop thread only ---
-    Bytes rbuf;       // unparsed input
+    Bytes rbuf;       // input buffer; grows, never re-zeroed per recv
     size_t rpos = 0;  // consumed prefix of rbuf
+    size_t rend = 0;  // received bytes end here; the rest is scratch
     bool stalled = false;  // one decoded frame waits for queue space
     Frame pending_frame;
     uint64_t protocol_errors = 0;
@@ -155,6 +166,12 @@ class ForkBaseServer {
   // many response frames per sendmsg instead of one syscall each.
   static constexpr size_t kWorkerBatch = 32;
 
+  // The event loop answers a hot-head hit only up to this size (meta +
+  // value). It copies a hit about three times before sending it, while
+  // every other connection waits; larger hits go to the workers, which
+  // copy them in parallel.
+  static constexpr size_t kMaxInlineReadBytes = 64u << 10;
+
   ForkBaseServer(ForkBase* engine, ServerOptions options)
       : engine_(engine), options_(std::move(options)) {}
 
@@ -165,6 +182,10 @@ class ForkBaseServer {
   // stops early on stall or teardown.
   void ParseFrames(const std::shared_ptr<Conn>& conn);
   void HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame);
+  // Answers a GetValue command frame on the event loop when the hot-head
+  // cache holds the head and its value is at most kMaxInlineReadBytes;
+  // returns false, answering nothing, otherwise.
+  bool ServeCachedRead(const std::shared_ptr<Conn>& conn, const Frame& frame);
   // Queue-space retry for connections parked on the dispatch bound.
   void RetryStalled();
   // Reaps connections aborted off-loop (write overflow, send failure).
@@ -190,6 +211,8 @@ class ForkBaseServer {
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void QueueControl(const std::shared_ptr<Conn>& conn, uint64_t request_id,
                     const Status& s, Slice body);
+  void QueueReply(const std::shared_ptr<Conn>& conn, uint64_t request_id,
+                  const Reply& reply);
   // Non-blocking scatter-gather flush of the output queue; arms
   // EPOLLOUT when the socket fills. Returns false when the connection
   // was aborted by a send failure.

@@ -170,6 +170,17 @@ Status Socket::RecvSome(void* data, size_t n, size_t* received) {
   }
 }
 
+bool Socket::PeerClosed() const {
+  char byte;
+  for (;;) {
+    const ssize_t r = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (r > 0) return false;  // unread bytes: still open
+    if (r == 0) return true;  // clean EOF
+    if (errno == EINTR) continue;
+    return errno != EAGAIN && errno != EWOULDBLOCK;
+  }
+}
+
 Status Socket::SetNonBlocking() {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) != 0) {

@@ -61,6 +61,10 @@ class Socket {
   // one arrives); IOError mentioning "closed" on clean EOF. The gulp
   // primitive FrameReader amortizes its syscalls with.
   Status RecvSome(void* data, size_t n, size_t* received);
+  // True when the peer has closed or reset the connection. Never blocks
+  // and consumes nothing (a non-blocking MSG_PEEK): a client checks an
+  // idle pooled connection with it before reusing it.
+  bool PeerClosed() const;
 
   // Switches the fd to non-blocking mode (the server's event loop owns
   // readiness; sends and recvs then return EAGAIN instead of blocking).

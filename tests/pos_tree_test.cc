@@ -1139,6 +1139,31 @@ TEST_P(MutationOracleTest, BlobGrowsPastThreeLevelsAndShrinksToEmpty) {
   EXPECT_EQ(tree.root(), *empty);
 }
 
+TEST_P(MutationOracleTest, BlobRandomReadsMatchModel) {
+  // Positional reads from one leaf up to past three levels, with ranges
+  // inside one leaf, across many, and running past the end.
+  for (const size_t size : {0, 90, 4000, 50000, 400000}) {
+    const Bytes model = rng_.BytesOf(size);
+    auto root = PosTree::BuildFromBytes(&store_, cfg_, Slice(model));
+    ASSERT_TRUE(root.ok());
+    PosTree tree(&store_, cfg_, ChunkType::kBlob, *root);
+    if (size == 400000) {
+      ASSERT_GT(HeightOf(tree), 3u);
+    }
+    for (int i = 0; i < 60; ++i) {
+      const uint64_t pos = rng_.Uniform(size + 2);
+      const uint64_t n = rng_.Uniform(rng_.Bernoulli(0.5) ? 64 : 6000);
+      auto got = tree.ReadBytes(pos, n);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const size_t from = std::min<size_t>(pos, size);
+      const size_t to = std::min<size_t>(pos + n, size);
+      ASSERT_EQ(*got, Bytes(model.begin() + static_cast<long>(from),
+                            model.begin() + static_cast<long>(to)))
+          << "size " << size << " read [" << pos << ", +" << n << ")";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ConfigsAndSeeds, MutationOracleTest,
                          ::testing::Combine(::testing::Range(0, 3),
                                             ::testing::Range(0, 3)));
@@ -1191,6 +1216,31 @@ TEST(PosTreeMutationCostTest, BlobSpliceTouchesOnlyItsPath) {
                                  Slice(rng.BytesOf(16)))
                     .ok());
     EXPECT_LE(StoreOps(store) - before, 4 * *height) << "splice " << op;
+  }
+}
+
+// A read descends to the bytes it wants: a small read costs one node per
+// level (two where it straddles a boundary), not a walk of the index.
+TEST(PosTreeReadCostTest, SmallBlobReadTouchesOnlyItsPath) {
+  MemChunkStore store;
+  const TreeConfig cfg;
+  Rng rng(63);
+  const size_t size = size_t{16} << 20;
+  const Bytes data = rng.BytesOf(size);
+  auto root = PosTree::BuildFromBytes(&store, cfg, Slice(data));
+  ASSERT_TRUE(root.ok());
+  PosTree tree(&store, cfg, ChunkType::kBlob, *root);
+  auto height = tree.Height();
+  ASSERT_TRUE(height.ok());
+  ASSERT_GE(*height, 3u);
+  for (int op = 0; op < 20; ++op) {
+    const size_t pos = rng.Uniform(size - 16);
+    const uint64_t before = store.stats().gets;
+    auto got = tree.ReadBytes(pos, 16);
+    ASSERT_TRUE(got.ok());
+    EXPECT_LE(store.stats().gets - before, *height + 2) << "read at " << pos;
+    EXPECT_EQ(*got, Bytes(data.begin() + static_cast<long>(pos),
+                          data.begin() + static_cast<long>(pos + 16)));
   }
 }
 

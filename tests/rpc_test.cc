@@ -8,7 +8,10 @@
 //    disconnect leaves the server serving new connections. No crash, no
 //    hang, clean Status everywhere.
 //  * RemoteService — pipelined Submit with out-of-order completion
-//    (request-id demultiplexing), reconnect after a server restart.
+//    (request-id demultiplexing), reconnect after a server restart, sync
+//    callers that read their own replies (no helper threads), mixed
+//    sync/pipelined callers on one socket, and GetValues the server
+//    answers on its event loop from the hot-head cache.
 //  * ClusterClient endpoints — mixed embedded/remote and all-remote
 //    deployments route the same typed API across processes.
 
@@ -17,7 +20,10 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -315,6 +321,235 @@ TEST(RemoteServiceTest, PipelinedSubmitCompletesEveryFuture) {
   }
 }
 
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RemoteServiceTest, SyncOnlyConnectionStartsNoHelperThreads) {
+  LiveServer live;  // the server's own threads exist before the count
+  const size_t before = ThreadCount();
+  rpc::RemoteServiceOptions opts;
+  opts.pool_size = 1;
+  auto client = rpc::RemoteService::Connect(live.server->endpoint(), opts);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = MakeKey(i % 10, 8, "sync");
+    if (i % 4 == 0) {
+      ASSERT_TRUE((*client)->Put(key, Value::OfInt(i)).ok());
+    } else {
+      auto got = (*client)->GetValue(key);
+      ASSERT_TRUE(got.ok() || got.status().IsNotFound())
+          << got.status().ToString();
+    }
+  }
+  EXPECT_LE(ThreadCount(), before)
+      << "a synchronous-only connection started reader or writer threads";
+  EXPECT_EQ((*client)->connections_opened(), 1u);
+}
+
+TEST(RemoteServiceTest, MixedSyncAndPipelinedCallersShareOneConnection) {
+  // Sync callers read the socket themselves and hand each other's replies
+  // over; the first Submit starts the reader thread while they read.
+  // Every reply must land with its own request.
+  LiveServer live;
+  rpc::RemoteServiceOptions opts;
+  opts.pool_size = 1;
+  auto client = rpc::RemoteService::Connect(live.server->endpoint(), opts);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  rpc::RemoteService* svc = client->get();
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 40;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([svc, t, &mismatches] {
+      std::vector<std::pair<Hash, std::future<Reply>>> submitted;
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string key = MakeKey(t * 1000 + i, 8, "mix");
+        const int64_t v = t * 1000 + i;
+        auto put = svc->Put(key, Value::OfInt(v));
+        if (!put.ok()) {
+          ++mismatches[t];
+          continue;
+        }
+        // Odd threads pipeline their reads, even ones call synchronously.
+        if (t % 2 == 1) {
+          Command cmd;
+          cmd.op = CommandOp::kGetValue;
+          cmd.key = key;
+          cmd.branch = kDefaultBranch;
+          submitted.emplace_back(*put, svc->Submit(std::move(cmd)));
+        } else {
+          auto got = svc->GetValue(key);
+          if (!got.ok() || got->object.uid() != *put ||
+              got->object.value().AsInt() != v) {
+            ++mismatches[t];
+          }
+        }
+      }
+      for (auto& [uid, future] : submitted) {
+        const Reply r = future.get();
+        if (!r.ok() || r.uid != uid) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_EQ(svc->connections_opened(), 1u);
+}
+
+// Holds every quorum commit while closed: a server worker applying a Put
+// sits in WaitCommitDurable, and the Put's caller waits for a reply that
+// is not coming until Open().
+class CommitGate : public ReplicationCommitHook {
+ public:
+  Status WaitCommitDurable() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++waiting_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    --waiting_;
+    return Status::OK();
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void AwaitWaiter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return waiting_ > 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int waiting_ = 0;
+};
+
+DBOptions GatedOpts() {
+  DBOptions o = SmallOpts();
+  o.durability = DurabilityPolicy::kQuorum;
+  return o;
+}
+
+TEST(RemoteServiceTest, HotHeadReadsKeepReadYourWritesAndSkipTheWorkers) {
+  ForkBase engine(GatedOpts());
+  CommitGate gate;
+  engine.AttachReplication(nullptr, &gate);
+  rpc::ServerOptions sopts;
+  sopts.num_workers = 1;  // one gated Put blocks every worker
+  auto server = rpc::ForkBaseServer::Start(&engine, sopts);
+  ASSERT_TRUE(server.ok());
+  rpc::RemoteServiceOptions opts;
+  opts.pool_size = 1;
+  auto writer = rpc::RemoteService::Connect((*server)->endpoint(), opts);
+  auto reader = rpc::RemoteService::Connect((*server)->endpoint(), opts);
+  ASSERT_TRUE(writer.ok() && reader.ok());
+
+  // A returned Put is seen by the next GetValue on either connection,
+  // whether the cache held the old head or not.
+  for (int i = 0; i < 30; ++i) {
+    auto uid = (*writer)->Put("ryw", Value::OfInt(i));
+    ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+    for (rpc::RemoteService* svc : {writer->get(), reader->get()}) {
+      for (int rep = 0; rep < 2; ++rep) {
+        auto got = svc->GetValue("ryw");
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->object.uid(), *uid) << "round " << i;
+        EXPECT_EQ(got->object.value().AsInt(), i);
+      }
+    }
+  }
+  ASSERT_TRUE(engine.Put("cold", Value::OfInt(7)).ok());
+
+  // A synchronous GetValue issued while the only worker is parked. If no
+  // answer comes without the worker, the gate opens (so the test fails
+  // instead of hanging) and the read finishes on the worker.
+  auto read_while_parked = [&](const std::string& key) {
+    auto read = std::async(std::launch::async,
+                           [&] { return (*reader)->GetValue(key); });
+    const bool inline_answer = read.wait_for(std::chrono::seconds(10)) ==
+                               std::future_status::ready;
+    EXPECT_TRUE(inline_answer) << key << " waited for the parked worker";
+    if (!inline_answer) gate.Open();
+    return read.get();
+  };
+
+  // Park the only worker on a gated Put.
+  gate.Close();
+  std::thread blocked([&] { (void)(*writer)->Put("held", Value::OfInt(1)); });
+  gate.AwaitWaiter();
+
+  // A cached head is answered on the event loop while the worker is busy.
+  auto hot = read_while_parked("ryw");
+  EXPECT_TRUE(hot.ok()) << hot.status().ToString();
+  if (hot.ok()) {
+    EXPECT_EQ(hot->object.value().AsInt(), 29);
+  }
+
+  // An uncached head waits for a worker.
+  Command cmd;
+  cmd.op = CommandOp::kGetValue;
+  cmd.key = "cold";
+  cmd.branch = kDefaultBranch;
+  std::future<Reply> cold = (*reader)->Submit(cmd);
+  EXPECT_EQ(cold.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "an uncached head was answered without a worker";
+  gate.Open();
+  const Reply first = cold.get();
+  blocked.join();
+  ASSERT_TRUE(first.ok()) << first.ToStatus().ToString();
+
+  // The worker's read filled the cache: the next read of the key is
+  // answered while the worker is parked again.
+  gate.Close();
+  std::thread blocked_again(
+      [&] { (void)(*writer)->Put("held", Value::OfInt(2)); });
+  gate.AwaitWaiter();
+  auto warm = read_while_parked("cold");
+  gate.Open();
+  blocked_again.join();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->object.uid(), first.uid);
+  EXPECT_EQ(warm->object.value().AsInt(), 7);
+  EXPECT_GT(engine.hot_head_stats().hits, 0u);
+
+  // A cached value too large for the event loop to copy is answered by
+  // a worker, and whole.
+  const std::string big(256u << 10, 'b');
+  ASSERT_TRUE(engine.Put("big", Value::OfString(Slice(big))).ok());
+  ASSERT_TRUE(engine.GetValue("big").ok());  // now the cache holds it
+  gate.Close();
+  std::thread blocked_big(
+      [&] { (void)(*writer)->Put("held", Value::OfInt(3)); });
+  gate.AwaitWaiter();
+  cmd.key = "big";
+  std::future<Reply> large = (*reader)->Submit(cmd);
+  EXPECT_EQ(large.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "a large cached value was copied on the event loop";
+  gate.Open();
+  const Reply big_reply = large.get();
+  blocked_big.join();
+  ASSERT_TRUE(big_reply.ok()) << big_reply.ToStatus().ToString();
+  EXPECT_EQ(Slice(big_reply.value).ToString(), big);
+}
+
 TEST(RemoteServiceTest, BackpressureBoundNeverDeadlocksOrDropsRequests) {
   // A dispatch queue bounded far below the pipelining depth: readers
   // park on the bound and drain as workers catch up. Every future must
@@ -367,13 +602,10 @@ TEST(RemoteServiceTest, ReconnectsAfterServerRestart) {
   auto revived = rpc::ForkBaseServer::Start(&engine, sopts);
   ASSERT_TRUE(revived.ok()) << revived.status().ToString();
 
-  // The first call(s) may surface IOError while the pool notices the
-  // dead socket; within a bounded number of attempts the client must be
-  // serving again, on a fresh connection, with state intact.
-  Result<FObject> obj = Status::IOError("not yet");
-  for (int attempt = 0; attempt < 20 && !obj.ok(); ++attempt) {
-    obj = (*client)->Get("survivor");
-  }
+  // Nothing read the idle pooled connection when the server closed it;
+  // the pool must notice before reusing it, so the very first call after
+  // the restart is served, on a fresh connection, with state intact.
+  Result<FObject> obj = (*client)->Get("survivor");
   ASSERT_TRUE(obj.ok()) << obj.status().ToString();
   EXPECT_EQ(obj->value().AsInt(), 10);
   EXPECT_GT((*client)->connections_opened(), before);
@@ -569,6 +801,34 @@ TEST(PeerFetchTest, ExpiredBackoffRetriesAndRecovers) {
   resolver.SetPeers({holder.server->endpoint()});
   ASSERT_TRUE(resolver.Fetch(cid, &out).ok());
   EXPECT_EQ(out.payload().ToString(), "eventually");
+}
+
+TEST(PeerFetchTest, FirstFetchAfterPeerRestartSucceeds) {
+  PeerServer holder(0);
+  const Chunk chunk = Chunk(ChunkType::kBlob, ToBytes("outlives a restart"));
+  const Hash cid = chunk.ComputeCid();
+  ASSERT_TRUE(holder.raw_local->Put(cid, chunk).ok());
+  PeerChunkResolver resolver({holder.server->endpoint()});
+  Chunk out;
+  ASSERT_TRUE(resolver.Fetch(cid, &out).ok());
+
+  // The peer restarts on the same endpoint while the resolver's pooled
+  // connection sits idle. The next fetch must not fail on the closed
+  // connection (that would cool the peer off and fail reads for 100 ms).
+  const std::string endpoint = holder.server->endpoint();
+  holder.server->Stop();
+  holder.server.reset();
+  rpc::ServerOptions so;
+  so.listen = endpoint;
+  so.local_chunk_store = holder.raw_local;
+  so.peer_count = 0;
+  auto revived = rpc::ForkBaseServer::Start(holder.engine.get(), so);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  out = Chunk();
+  const Status s = resolver.Fetch(cid, &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(out.payload().ToString(), "outlives a restart");
+  EXPECT_EQ(resolver.failures(), 0u);
 }
 
 TEST(PeerFetchTest, ConcurrentFetchesOfOneCidAreSingleFlighted) {
@@ -847,6 +1107,68 @@ TEST(RemoteServiceTest, ServerDeathFailsEveryPendingSubmit) {
   ASSERT_EQ(late_future.wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
   EXPECT_FALSE(late_future.get().ok());
+
+  // Now the server dies while a synchronous caller is reading the socket
+  // for its own reply, with pipelined Submits queued behind it: the call
+  // fails, every Submit completes, and the next call reconnects.
+  ForkBase gated_engine(GatedOpts());
+  CommitGate gate;
+  gated_engine.AttachReplication(nullptr, &gate);
+  auto gated = rpc::ForkBaseServer::Start(&gated_engine, {});
+  ASSERT_TRUE(gated.ok());
+  const std::string endpoint = (*gated)->endpoint();
+  opts.pool_size = 1;
+  auto caller = rpc::RemoteService::Connect(endpoint, opts);
+  ASSERT_TRUE(caller.ok()) << caller.status().ToString();
+  gate.Close();
+  std::future<Reply> held = std::async(std::launch::async, [&] {
+    Command cmd;
+    cmd.op = CommandOp::kPut;
+    cmd.key = "held";
+    cmd.branch = kDefaultBranch;
+    cmd.value = Value::OfInt(1);
+    return (*caller)->Execute(cmd);
+  });
+  gate.AwaitWaiter();  // the call is in
+  // No Submit has started the reader thread yet, so the thread holding
+  // the read side is the caller, reading for its own reply.
+  for (int i = 0; i < 30000 && !(*caller)->ReadSideHeld(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE((*caller)->ReadSideHeld());
+  std::vector<std::future<Reply>> queued;
+  for (int i = 0; i < 50; ++i) {
+    Command cmd;
+    cmd.op = CommandOp::kGetValue;
+    cmd.key = "held";
+    cmd.branch = kDefaultBranch;
+    queued.push_back((*caller)->Submit(std::move(cmd)));
+  }
+  // Stop() joins the workers, and one sits in the gate until it opens:
+  // stop on the side, open once the dead socket has failed every call.
+  std::thread stopper([&] { (*gated)->Stop(); });
+  ASSERT_EQ(held.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the reading caller never saw the server die";
+  EXPECT_FALSE(held.get().ok());
+  for (auto& f : queued) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "a Submit queued behind a reading caller never completed";
+    (void)f.get();
+  }
+  gate.Open();
+  stopper.join();
+  gated->reset();
+
+  rpc::ServerOptions revived_opts;
+  revived_opts.listen = endpoint;
+  auto revived = rpc::ForkBaseServer::Start(&gated_engine, revived_opts);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  const uint64_t opened = (*caller)->connections_opened();
+  auto again = (*caller)->Put("after", Value::OfInt(2));
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_GT((*caller)->connections_opened(), opened);
 }
 
 TEST(ClusterEndpointsTest, AllRemoteDeploymentNeedsNoLocalCluster) {
